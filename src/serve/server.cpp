@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/timer.hpp"
 #include "predict/machine_predict.hpp"
 #include "serve/protocol.hpp"
@@ -44,6 +45,19 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
+/// Throws the error response's message for the first query `request`
+/// carries that `spec` cannot run.
+void validate_queries(const Request& request, const sim::MachineSpec& spec) {
+  for (std::size_t i = 0; i < request.queries.size(); ++i) {
+    const std::string problem = validate_query(request.queries[i], spec);
+    if (!problem.empty())
+      throw std::invalid_argument(
+          (request.batch ? "queries[" + std::to_string(i) + "]: "
+                         : "query: ") +
+          problem);
+  }
+}
+
 [[noreturn]] void fail_errno(const std::string& what) {
   throw std::runtime_error("serve: " + what + ": " + std::strerror(errno));
 }
@@ -52,20 +66,38 @@ bool send_all(int fd, const std::string& data) {
 
 /// All per-machine answering state: the two-tier router plus the
 /// task-graph dispatcher for batched fallbacks, both on the server's
-/// shared pool.  Looked up (and LRU-evicted) by the machine's
-/// canonical JSON; shared_ptr keeps an evicted machine alive for
-/// requests already holding it.
+/// shared pool.  Keyed (and LRU-evicted) by the machine's canonical
+/// JSON; shared_ptr keeps an evicted machine alive for requests
+/// already holding it.  The two request selectors let a repeat request
+/// find its machine without resolving, auditing or serializing the
+/// spec again.
 struct Server::MachineState {
   std::string canonical_json;
+  /// Compact dump of canonical_json: exactly what parse_request makes
+  /// of an inline spec written in schema order.
+  std::string inline_json;
+  /// The preset name this machine was last resolved under, "" if none.
+  /// Guarded by machines_mutex_.
+  std::string preset_name;
   predict::QueryRouter router;
   sim::SweepRunner dispatch;
 
   MachineState(const sim::MachineSpec& spec, std::string canonical,
                common::ThreadPool& pool)
       : canonical_json(std::move(canonical)),
+        inline_json(common::json_dump(common::Json::parse(canonical_json))),
         router(spec, pool),
         dispatch(pool) {
     dispatch.set_task_label("serve-sim");
+  }
+
+  /// True when `request` names this machine by a selector it was
+  /// resolved under.  Equal selectors mean an equal spec, so the
+  /// audit it passed and its canonical JSON still hold.
+  bool selected_by(const Request& request) const {
+    return request.machine_name.empty()
+               ? request.machine_inline_json == inline_json
+               : request.machine_name == preset_name;
   }
 };
 
@@ -121,17 +153,43 @@ void Server::count_latency(double seconds) {
   latency_buckets_.back().second.add();
 }
 
-std::shared_ptr<Server::MachineState> Server::machine_state(
-    const std::string& canonical_json) {
-  std::lock_guard<std::mutex> lock(machines_mutex_);
-  for (auto it = machines_.begin(); it != machines_.end(); ++it) {
-    if ((*it)->canonical_json == canonical_json) {
+std::shared_ptr<Server::MachineState> Server::resolve_machine(
+    const Request& request) {
+  {
+    std::lock_guard<std::mutex> lock(machines_mutex_);
+    for (auto it = machines_.begin(); it != machines_.end(); ++it) {
+      if (!(*it)->selected_by(request)) continue;
+      // Validated against the spec the router was built from; an
+      // invalid query leaves the LRU order untouched, as it does on
+      // the resolving path below.
+      validate_queries(request, (*it)->router.predictor().spec());
       machines_.splice(machines_.begin(), machines_, it);
       return machines_.front();
     }
   }
+
+  const sim::MachineSpec spec =
+      request.machine_name.empty()
+          ? sim::MachineSpec::from_json(request.machine_inline_json)
+          : sim::machine_spec(request.machine_name);
+  const sim::AuditReport report = spec.audit();
+  if (!report.ok())
+    throw std::invalid_argument("machine audit failed:\n" +
+                                report.to_string());
+  validate_queries(request, spec);
+  const std::string canonical = spec.to_json();
+
+  std::lock_guard<std::mutex> lock(machines_mutex_);
+  for (auto it = machines_.begin(); it != machines_.end(); ++it) {
+    if ((*it)->canonical_json != canonical) continue;
+    if (!request.machine_name.empty())
+      (*it)->preset_name = request.machine_name;
+    machines_.splice(machines_.begin(), machines_, it);
+    return machines_.front();
+  }
   auto state = std::make_shared<MachineState>(
-      sim::MachineSpec::from_json(canonical_json), canonical_json, pool_);
+      sim::MachineSpec::from_json(canonical), canonical, pool_);
+  state->preset_name = request.machine_name;
   machines_.push_front(state);
   std::uint64_t evicted = 0;
   while (machines_.size() > options_.machine_capacity) {
@@ -147,26 +205,8 @@ std::shared_ptr<Server::MachineState> Server::machine_state(
 }
 
 std::string Server::handle_query(const Request& request) {
-  const sim::MachineSpec spec =
-      request.machine_name.empty()
-          ? sim::MachineSpec::from_json(request.machine_inline_json)
-          : sim::machine_spec(request.machine_name);
-  const sim::AuditReport report = spec.audit();
-  if (!report.ok())
-    throw std::invalid_argument("machine audit failed:\n" +
-                                report.to_string());
-  const std::string canonical = spec.to_json();
-
-  for (std::size_t i = 0; i < request.queries.size(); ++i) {
-    const std::string problem = validate_query(request.queries[i], spec);
-    if (!problem.empty())
-      throw std::invalid_argument(
-          (request.batch ? "queries[" + std::to_string(i) + "]: "
-                         : "query: ") +
-          problem);
-  }
-
-  const std::shared_ptr<MachineState> state = machine_state(canonical);
+  const std::shared_ptr<MachineState> state = resolve_machine(request);
+  const std::string& canonical = state->canonical_json;
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);
     queries_.add(request.queries.size());

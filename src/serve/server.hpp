@@ -3,14 +3,23 @@
 // One Server owns the two-tier answering stack for any number of
 // machines at once:
 //
-//   request line ──parse──▶ resolve machine (preset registry or
-//      inline spec, LRU-bounded QueryRouter per distinct canonical
-//      spec, all sharing ONE ThreadPool) ──route──▶
+//   request line ──parse──▶ resolve machine ──validate──▶ route ──▶
 //        analytic-servable   → answered inline, O(1), no cache
 //        simulation-required → content-addressed ResultCache
 //             miss  → event-driven simulator (batches fan across a
 //                     shared SweepRunner task graph)
 //             hit   → memoized value, byte-identical to the miss
+//
+// Warm machines are an LRU-bounded set of QueryRouters, one per
+// distinct canonical spec, all sharing ONE ThreadPool.  Each answers
+// to two selectors: the preset name it was last resolved under and
+// the compact dump of its canonical spec (what an inline spec written
+// in schema order parses to).  A request carrying either skips the
+// preset lookup or spec parse, the audit and the canonical
+// serialization, so those run once per distinct spec; its queries are
+// still validated against the stored spec.  Anything else (a machine
+// seen first, an inline spec in another member order) resolves in
+// full and then finds or builds its router by canonical JSON.
 //
 // Answers are bit-identical to calling the Predictor / ubench
 // directly: the cache stores the exact double the simulator produced
@@ -110,10 +119,13 @@ class Server {
  private:
   struct MachineState;
 
-  /// The warm router for `canonical_json`, constructing (and LRU-
-  /// evicting) as needed.
-  std::shared_ptr<MachineState> machine_state(
-      const std::string& canonical_json);
+  /// The warm machine `request` selects, with every query validated
+  /// against its spec (throws std::invalid_argument otherwise).  A
+  /// request repeating a warm machine's preset name or inline spec
+  /// finds it directly; anything else is resolved, audited and
+  /// serialized, then found by canonical JSON or constructed (LRU-
+  /// evicting as needed).
+  std::shared_ptr<MachineState> resolve_machine(const Request& request);
 
   std::string handle_query(const Request& request);
   void accept_loop();

@@ -28,6 +28,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -179,6 +180,22 @@ std::string raw_read_all(int fd) {
   while ((n = ::read(fd, buf, sizeof buf)) > 0)
     out.append(buf, static_cast<std::size_t>(n));
   return out;
+}
+
+/// An inline machine selector for preset `name`: the compact dump of
+/// its canonical spec (schema order), or the same spec with its
+/// top-level members reversed — an equal machine spelled differently.
+std::string inline_spec(const std::string& name, bool schema_order = true) {
+  common::Json doc = common::Json::parse(sim::machine_spec(name).to_json());
+  if (!schema_order) std::reverse(doc.object.begin(), doc.object.end());
+  return common::json_dump(doc);
+}
+
+/// A single-query request line selecting its machine by `machine`,
+/// which is either a quoted preset name or an inline spec object.
+std::string query_line(const std::string& machine, const std::string& query) {
+  return "{\"verb\": \"query\", \"machine\": " + machine +
+         ", \"query\": " + query + "}";
 }
 
 // ---- protocol: parsing ----------------------------------------------------
@@ -727,6 +744,100 @@ TEST(ServeServerTest, PerturbedCacheBreaksByteIdentity) {
   EXPECT_EQ(cached, fresh + 0.5);  // identity broken, by exactly the skew
 }
 
+TEST(ServeServerTest, WarmMachineStillValidatesEveryQuery) {
+  serve::Server server(daemon_options());
+  ASSERT_TRUE(response_ok(server.handle_line(
+      query_line("\"e850c\"", "{\"kind\": \"noc-latency\", \"home_chip\": 1}"))));
+  // e850c has 2 chips: the same error text a cold resolve produces.
+  const std::string bad = query_line(
+      "\"e850c\"", "{\"kind\": \"chase-latency\", \"consumer_chip\": 2}");
+  const std::string expected = serve::error_response(
+      std::nullopt, "query: consumer_chip must be in [0, 2) for this machine");
+  EXPECT_EQ(server.handle_line(bad), expected);
+  EXPECT_EQ(serve::Server(daemon_options()).handle_line(bad), expected);
+  // A batch names the offending element from the warm spec too.
+  EXPECT_EQ(
+      server.handle_line(
+          "{\"verb\": \"query\", \"machine\": " + inline_spec("e850c") +
+          ", \"queries\": [{\"kind\": \"noc-latency\"}, "
+          "{\"kind\": \"noc-latency\", \"home_chip\": 5}]}"),
+      serve::error_response(
+          std::nullopt,
+          "queries[1]: home_chip must be in [0, 2) for this machine"));
+  const std::string stats = server.handle_line("{\"verb\": \"stats\"}");
+  EXPECT_EQ(stat_of(stats, "serve.machines_loaded"), 1u);
+  EXPECT_EQ(stat_of(stats, "serve.errors"), 2u);
+}
+
+TEST(ServeServerTest, InvalidQueryLoadsNoMachine) {
+  serve::Server server(daemon_options());
+  check_error_schema(server.handle_line(query_line(
+      "\"e870\"", "{\"kind\": \"chase-latency\", \"home_chip\": 99}")));
+  const std::string stats = server.handle_line("{\"verb\": \"stats\"}");
+  EXPECT_EQ(stat_of(stats, "serve.machines_loaded"), 0u);
+}
+
+TEST(ServeServerTest, AuditFailureIsNeverMemoized) {
+  serve::Server server(daemon_options());
+  // Members left out keep their default-constructed values, which
+  // describe no real machine: a spec that parses but fails the audit.
+  const std::string line =
+      query_line("{\"system\": {\"sockets\": 2}}", "{\"kind\": \"noc-latency\"}");
+  const std::string first = server.handle_line(line);
+  check_error_schema(first);
+  EXPECT_NE(first.find("machine audit failed"), std::string::npos) << first;
+  EXPECT_EQ(server.handle_line(line), first);
+  const std::string stats = server.handle_line("{\"verb\": \"stats\"}");
+  EXPECT_EQ(stat_of(stats, "serve.machines_loaded"), 0u);
+  EXPECT_EQ(stat_of(stats, "serve.errors"), 2u);
+}
+
+TEST(ServeServerTest, EvictionChurnMatchesDirectRouters) {
+  serve::ServerOptions options = daemon_options();
+  options.machine_capacity = 1;
+  serve::Server server(options);
+  common::ThreadPool pool(1);
+  std::map<std::string, std::unique_ptr<predict::QueryRouter>> direct;
+  for (const char* name : {"e870", "e880"})
+    direct[name] = std::make_unique<predict::QueryRouter>(
+        sim::machine_spec(name), pool);
+
+  // Each request: one analytic and one simulation-required query.
+  const std::string queries =
+      "[{\"kind\": \"noc-latency\", \"home_chip\": 5}, "
+      "{\"kind\": \"chase-latency\", \"footprint_bytes\": 65536, "
+      "\"dscr\": 2}]";
+  const std::vector<predict::Query> parsed =
+      serve::parse_request("{\"verb\": \"query\", \"machine\": \"e870\", "
+                           "\"queries\": " + queries + "}")
+          .queries;
+  std::set<std::string> simulated;  // machines whose chase already ran
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [name, machine] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"e870", "\"e870\""},
+             {"e880", "\"e880\""},
+             {"e870", inline_spec("e870")}}) {
+      SCOPED_TRACE(name + " round " + std::to_string(round));
+      predict::QueryRouter& router = *direct[name];
+      std::vector<serve::AnswerWire> wires;
+      for (const predict::Query& q : parsed)
+        wires.push_back(serve::AnswerWire{
+            router.answer(q).value, router.analytic_servable(q),
+            !router.analytic_servable(q) && !simulated.insert(name).second});
+      EXPECT_EQ(server.handle_line("{\"verb\": \"query\", \"machine\": " +
+                                   machine + ", \"queries\": " + queries +
+                                   "}"),
+                serve::query_response(std::nullopt, wires, true));
+    }
+  }
+  // At capacity 1 each machine switch loads (and all but the first
+  // evict); only inline-e870 -> e870 across the rounds stays warm.
+  const std::string stats = server.handle_line("{\"verb\": \"stats\"}");
+  EXPECT_EQ(stat_of(stats, "serve.machines_loaded"), 5u);
+  EXPECT_EQ(stat_of(stats, "serve.machines_evicted"), 4u);
+}
+
 // ---- daemon over the socket -----------------------------------------------
 
 TEST(ServeDaemonTest, EndToEndQueryStatsShutdownCycle) {
@@ -1036,6 +1147,51 @@ TEST(ServeConcurrentTest, MixedVerbBurstLeavesTheDaemonHealthy) {
   EXPECT_EQ(stat_of(stats, "serve.requests"), 61u);  // 60 + this stats
   // (c + i) % 4 == 3 has 14 solutions over c in [0,6) x i in [0,10).
   EXPECT_EQ(stat_of(stats, "serve.errors"), 14u);
+}
+
+TEST(ServeConcurrentTest, MachineResolutionUnderEvictionChurn) {
+  // Three machines behind one warm slot, selected by preset name, by
+  // schema-order inline spec (the warm selector) and by reordered
+  // inline spec (always a full resolve); a fifth of the queries are
+  // out of range for the machine, so the warm path's validation runs
+  // under churn too.  Analytic queries only: their responses carry no
+  // cache flag, so every byte is schedule-independent.
+  P8_PROP(gen, 2, 0xc4a5e) {
+    const std::vector<std::string> names = {"e850c", "e870", "e880"};
+    std::vector<std::string> lines;
+    for (int i = 0; i < 60; ++i) {
+      const std::string& name = names[static_cast<std::size_t>(
+          gen.int_range(0, 2))];
+      const int form = gen.int_range(0, 2);
+      const std::string machine =
+          form == 0 ? "\"" + name + "\"" : inline_spec(name, form == 1);
+      const int chip = gen.chance(0.2) ? 16 : gen.int_range(0, 1);
+      lines.push_back(query_line(
+          machine, "{\"kind\": \"noc-latency\", \"consumer_chip\": " +
+                       std::to_string(chip) + "}"));
+    }
+
+    serve::ServerOptions options = daemon_options();
+    options.machine_capacity = 1;
+    std::vector<std::string> serial;
+    {
+      serve::Server server(options);
+      for (const std::string& line : lines)
+        serial.push_back(server.handle_line(line));
+    }
+
+    serve::Server server(options);
+    std::vector<std::string> concurrent(lines.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < lines.size(); i += 4)
+          concurrent[i] = server.handle_line(lines[i]);
+      });
+    for (auto& thread : threads) thread.join();
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      EXPECT_EQ(concurrent[i], serial[i]) << lines[i].substr(0, 120);
+  }
 }
 
 }  // namespace

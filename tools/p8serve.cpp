@@ -92,14 +92,18 @@ std::string socket_arg(common::ArgParser& args) {
 int cmd_serve(common::ArgParser& args) {
   serve::ServerOptions options;
   options.socket_path = socket_arg(args);
-  options.cache_capacity = static_cast<std::size_t>(args.get_int(
-      "cache-capacity", 1024, "resident simulation results (LRU beyond)"));
-  options.machine_capacity = static_cast<std::size_t>(args.get_int(
-      "machine-capacity", 4, "distinct machines kept warm (LRU beyond)"));
-  options.sim_threads = static_cast<std::size_t>(args.get_int(
-      "sim-threads", 0, "simulation pool workers (0 = hardware threads)"));
-  options.max_line_bytes = static_cast<std::size_t>(args.get_int(
-      "max-line-bytes", 1 << 20, "longest accepted request line"));
+  // Counts are read signed and range-checked before the size_t cast: a
+  // negative value must not wrap to SIZE_MAX and unbound an LRU.  The
+  // minimums are the Server's own requirements, reported as usage
+  // errors instead of an uncaught exception.
+  const std::int64_t cache_capacity = args.get_int(
+      "cache-capacity", 1024, "resident simulation results (LRU beyond)");
+  const std::int64_t machine_capacity = args.get_int(
+      "machine-capacity", 4, "distinct machines kept warm (LRU beyond)");
+  const std::int64_t sim_threads = args.get_int(
+      "sim-threads", 0, "simulation pool workers (0 = hardware threads)");
+  const std::int64_t max_line_bytes = args.get_int(
+      "max-line-bytes", 1 << 20, "longest accepted request line");
   options.debug_value_skew = args.get_double(
       "perturb", 0.0, "skew every cached value by this much (gate twin)");
   const int early = finish_or_usage(args);
@@ -108,6 +112,26 @@ int cmd_serve(common::ArgParser& args) {
     std::fputs("error: --socket is required\n", stderr);
     return 2;
   }
+  const struct {
+    const char* name;
+    std::int64_t value;
+    std::int64_t min;
+  } counts[] = {{"cache-capacity", cache_capacity, 1},
+                {"machine-capacity", machine_capacity, 1},
+                {"sim-threads", sim_threads, 0},
+                {"max-line-bytes", max_line_bytes, 64}};
+  for (const auto& count : counts) {
+    if (count.value >= count.min) continue;
+    std::fprintf(stderr, "error: --%s must be >= %lld (got %lld)\n",
+                 count.name, static_cast<long long>(count.min),
+                 static_cast<long long>(count.value));
+    usage(stderr);
+    return 2;
+  }
+  options.cache_capacity = static_cast<std::size_t>(cache_capacity);
+  options.machine_capacity = static_cast<std::size_t>(machine_capacity);
+  options.sim_threads = static_cast<std::size_t>(sim_threads);
+  options.max_line_bytes = static_cast<std::size_t>(max_line_bytes);
 
   serve::Server server(options);
   try {

@@ -19,12 +19,14 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const std::uint64_t max_mb = static_cast<std::uint64_t>(
-      args.get_int("max-mb", 512, "largest working set in MiB"));
+  const auto max_mb_opt = bench::bounded_int_arg(
+      args, "max-mb", 512, 1, 1 << 20, "largest working set in MiB");
   const std::string counters_path = bench::counters_path_arg(args);
   const bool no_audit = bench::no_audit_arg(args);
   const std::string machine_sel = bench::machine_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!max_mb_opt) return 2;
+  const auto max_mb = static_cast<std::uint64_t>(*max_mb_opt);
 
   bench::print_header("Figure 2",
                       "memory read latency vs working set (prefetch off)");

@@ -13,21 +13,36 @@ namespace {
 
 /// Sattolo's algorithm: a uniformly random single-cycle permutation of
 /// [0, n) — the standard way to build a pointer-chase chain in which
-/// every element is visited exactly once per lap.
-std::vector<std::uint32_t> single_cycle_permutation(std::uint64_t n,
-                                                    std::uint64_t seed) {
+/// every element is visited exactly once per lap.  Returned as the
+/// visiting order: the chase steps from order[k] to order[k + 1]
+/// (cyclically).
+///
+/// The swaps touch random slots of a chain that outgrows the host's
+/// caches, so the loop is software-pipelined: each swap partner is
+/// drawn kAhead steps early (the RNG calls keep their order, so the
+/// permutation is unchanged) and its slot prefetched, letting the host
+/// cache misses overlap instead of serializing.
+std::vector<std::uint32_t> sattolo_order(std::uint64_t n, std::uint64_t seed) {
   P8_REQUIRE(n >= 1, "empty permutation");
-  std::vector<std::uint32_t> next(n);
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   common::Xoshiro256 rng(seed);
-  for (std::uint64_t i = n - 1; i >= 1; --i) {
-    const std::uint64_t j = rng.bounded(i);  // j in [0, i)
-    std::swap(order[i], order[j]);
+  constexpr std::uint64_t kAhead = 16;  // power of two: ring index is a mask
+  std::uint64_t partner[kAhead] = {};
+  // Step s swaps slot n - 1 - s with a partner in [0, n - 1 - s).
+  const std::uint64_t steps = n - 1;
+  const auto draw = [&](std::uint64_t s) {
+    const std::uint64_t j = rng.bounded(n - 1 - s);
+    partner[s & (kAhead - 1)] = j;
+    __builtin_prefetch(&order[j], /*rw=*/1);
+  };
+  for (std::uint64_t s = 0; s < std::min(kAhead, steps); ++s) draw(s);
+  for (std::uint64_t s = 0; s < steps; ++s) {
+    const std::uint64_t j = partner[s & (kAhead - 1)];
+    if (s + kAhead < steps) draw(s + kAhead);
+    std::swap(order[n - 1 - s], order[j]);
   }
-  for (std::uint64_t i = 0; i < n; ++i)
-    next[order[i]] = order[(i + 1) % n];
-  return next;
+  return order;
 }
 
 /// ns per access over the window from the measure mark to the end of
@@ -49,18 +64,24 @@ void emit_chase_trace(std::uint64_t line_bytes, const ChaseOptions& options,
   const std::uint64_t lines = std::max<std::uint64_t>(
       1, options.working_set_bytes / line_bytes);
 
-  // Build the chase chain: next[i] is the line visited after line i.
-  std::vector<std::uint32_t> next;
+  // order[] holds uint32 line indices: past 2^32 lines the indices
+  // would wrap and the chain would no longer be one cycle over every
+  // line.
+  P8_REQUIRE(lines <= (std::uint64_t{1} << 32),
+             "chase working set exceeds 2^32 cache lines");
+
+  // Build the chase chain as a visiting order: the line after
+  // order[k] is order[(k + 1) % lines].
+  std::vector<std::uint32_t> order;
   switch (options.pattern) {
     case ChasePattern::kRandom:
-      next = single_cycle_permutation(lines, options.seed);
+      order = sattolo_order(lines, options.seed);
       break;
     case ChasePattern::kForwardStride:
     case ChasePattern::kBackwardStride: {
       // lmbench's strided chain: walk every stride-th line, then the
       // next offset, until every line is covered exactly once per lap.
       P8_REQUIRE(options.stride_lines >= 1, "stride must be positive");
-      std::vector<std::uint32_t> order;
       order.reserve(lines);
       for (std::uint64_t offset = 0;
            offset < options.stride_lines && offset < lines; ++offset)
@@ -68,9 +89,6 @@ void emit_chase_trace(std::uint64_t line_bytes, const ChaseOptions& options,
           order.push_back(static_cast<std::uint32_t>(i));
       if (options.pattern == ChasePattern::kBackwardStride)
         std::reverse(order.begin(), order.end());
-      next.resize(lines);
-      for (std::uint64_t k = 0; k < lines; ++k)
-        next[order[k]] = order[(k + 1) % lines];
       break;
     }
   }
@@ -81,16 +99,18 @@ void emit_chase_trace(std::uint64_t line_bytes, const ChaseOptions& options,
   const std::uint64_t measure =
       std::max<std::uint64_t>(1, std::min(options.measure_accesses, lines));
 
-  std::uint64_t pos = 0;
-  for (std::uint64_t i = 0; i < warm; ++i) {
-    sink.access(pos * line_bytes);
-    pos = next[pos];
-  }
+  // The chase starts at line 0 and walks the order cyclically.
+  std::uint64_t k = static_cast<std::uint64_t>(
+      std::find(order.begin(), order.end(), 0u) - order.begin());
+  const auto walk = [&](std::uint64_t accesses) {
+    for (std::uint64_t i = 0; i < accesses; ++i) {
+      sink.access(order[k] * line_bytes);
+      if (++k == lines) k = 0;
+    }
+  };
+  walk(warm);
   sink.mark(kMarkMeasureStart);
-  for (std::uint64_t i = 0; i < measure; ++i) {
-    sink.access(pos * line_bytes);
-    pos = next[pos];
-  }
+  walk(measure);
 }
 
 double chase_latency_ns(const sim::Machine& machine,

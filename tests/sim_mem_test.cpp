@@ -20,6 +20,11 @@ struct MixRow {
   double paper_gbs;
 };
 
+// Print the row by name: gtest's default byte dump would embed the
+// `name` pointer, and an address-dependent test name changes from one
+// build (and one run) to the next.
+void PrintTo(const MixRow& row, std::ostream* os) { *os << row.name; }
+
 class TableIII : public ::testing::TestWithParam<MixRow> {};
 
 TEST_P(TableIII, WithinTenPercentOfPaper) {

@@ -2,6 +2,12 @@
 // must show up when the workloads drive the machine model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "arch/spec.hpp"
 #include "sim/machine/machine.hpp"
@@ -135,6 +141,123 @@ TEST(Chase, StridedChainsCoverEveryLine) {
           << "stride " << stride;
     }
   }
+}
+
+// ------------------------------------------------------- chase chains ----
+// emit_chase_trace walks the chain's visiting order directly.  The
+// reference below builds the same chain as a next[] array (next[i] is
+// the line after line i) and walks it from line 0 with the plain,
+// unpipelined Sattolo shuffle; every emitted address and the measure
+// mark must match it exactly.
+
+struct RecordedChase {
+  std::vector<std::uint64_t> addrs;
+  std::vector<std::uint64_t> marks;  ///< accesses emitted before each mark
+};
+
+class RecordingSink final : public trace::TraceSink {
+ public:
+  explicit RecordingSink(RecordedChase& out) : out_(out) {}
+  void access(std::uint64_t addr) override { out_.addrs.push_back(addr); }
+  void dcbt_hint(std::uint64_t, std::uint64_t, bool) override {
+    ADD_FAILURE() << "chase emitted a DCBT hint";
+  }
+  void dcbt_stop(std::uint64_t) override {
+    ADD_FAILURE() << "chase emitted a DCBT stop";
+  }
+  void mark(std::uint64_t id) override {
+    EXPECT_EQ(id, kMarkMeasureStart);
+    out_.marks.push_back(out_.addrs.size());
+  }
+
+ private:
+  RecordedChase& out_;
+};
+
+RecordedChase reference_chase(std::uint64_t line_bytes,
+                              const ChaseOptions& options) {
+  const std::uint64_t lines = std::max<std::uint64_t>(
+      1, options.working_set_bytes / line_bytes);
+  std::vector<std::uint32_t> order;
+  if (options.pattern == ChasePattern::kRandom) {
+    order.resize(lines);
+    std::iota(order.begin(), order.end(), 0u);
+    common::Xoshiro256 rng(options.seed);
+    for (std::uint64_t i = lines - 1; i >= 1; --i)
+      std::swap(order[i], order[rng.bounded(i)]);
+  } else {
+    for (std::uint64_t offset = 0;
+         offset < options.stride_lines && offset < lines; ++offset)
+      for (std::uint64_t i = offset; i < lines; i += options.stride_lines)
+        order.push_back(static_cast<std::uint32_t>(i));
+    if (options.pattern == ChasePattern::kBackwardStride)
+      std::reverse(order.begin(), order.end());
+  }
+  std::vector<std::uint32_t> next(lines);
+  for (std::uint64_t k = 0; k < lines; ++k)
+    next[order[k]] = order[(k + 1) % lines];
+
+  const std::uint64_t warm =
+      std::min<std::uint64_t>(options.warm_accesses, 2 * lines);
+  const std::uint64_t measure =
+      std::max<std::uint64_t>(1, std::min(options.measure_accesses, lines));
+  RecordedChase out;
+  std::uint64_t pos = 0;
+  for (std::uint64_t i = 0; i < warm + measure; ++i) {
+    if (i == warm) out.marks.push_back(i);
+    out.addrs.push_back(pos * line_bytes);
+    pos = next[pos];
+  }
+  return out;
+}
+
+TEST(ChaseChain, StreamMatchesNextArrayReference) {
+  constexpr std::uint64_t kLine = 128;
+  for (const ChasePattern pattern :
+       {ChasePattern::kRandom, ChasePattern::kForwardStride,
+        ChasePattern::kBackwardStride}) {
+    for (const std::uint64_t lines : {1, 2, 3, 17, 4096, 4097}) {
+      const std::uint64_t strides[] = {1, 3, lines, lines + 1};
+      for (const std::uint64_t stride : strides) {
+        for (const std::uint64_t seed : {42u, 7u, 0x9e3779b9u}) {
+          // Default windows (several laps), and short ones that stop
+          // mid-lap.
+          for (const bool short_windows : {false, true}) {
+            ChaseOptions o;
+            o.working_set_bytes = lines * kLine;
+            o.pattern = pattern;
+            o.stride_lines = stride;
+            o.seed = seed;
+            if (short_windows) {
+              o.warm_accesses = 5;
+              o.measure_accesses = 3;
+            }
+            RecordedChase got;
+            RecordingSink sink(got);
+            emit_chase_trace(kLine, o, sink);
+            const RecordedChase want = reference_chase(kLine, o);
+            ASSERT_EQ(got.marks, want.marks)
+                << "pattern " << static_cast<int>(pattern) << " lines "
+                << lines << " stride " << stride << " seed " << seed;
+            ASSERT_EQ(got.addrs, want.addrs)
+                << "pattern " << static_cast<int>(pattern) << " lines "
+                << lines << " stride " << stride << " seed " << seed;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChaseChain, RejectsChainsOverTwoToThe32Lines) {
+  // One-byte lines make the working set's byte count its line count;
+  // the check fires before the chain is allocated.
+  ChaseOptions o;
+  o.working_set_bytes = (std::uint64_t{1} << 32) + 1;
+  RecordedChase got;
+  RecordingSink sink(got);
+  EXPECT_THROW(emit_chase_trace(1, o, sink), std::invalid_argument);
+  EXPECT_TRUE(got.addrs.empty());
 }
 
 // ------------------------------------------------------- stride (Fig 7) ----

@@ -5,10 +5,8 @@
 //  * single-thread hot-path throughput (simulated accesses/second) for
 //    the two patterns that dominate the figure benches: the prefetch-
 //    heavy sequential scan (inflight table + prefetch engine) and the
-//    randomized pointer chase (cache hierarchy + TLB).  Each pattern
-//    is timed twice — through the batched replay path (what the
-//    workload drivers use) and through the scalar access() loop — with
-//    a bit-identical check on the resulting virtual clocks, and
+//    randomized pointer chase (cache hierarchy + TLB), each replayed
+//    through access_batch (what the workload drivers use), and
 //  * wall-clock of the Figure 2 working-set sweep, sequential vs
 //    fanned across the SweepRunner — at the chosen --threads and at
 //    fixed 1/2/4-worker pools so the scaling curve is visible in the
@@ -29,19 +27,23 @@
 //    validates.
 //
 // Results are printed as a table and written as machine-readable JSON
-// (default BENCH_perf_simcore.json) so the perf trajectory is tracked
-// across PRs; scripts/tier1.sh diffs the checksum against the
-// checked-in baseline.  --task-json dumps the heterogeneous graph's
-// per-task timeline for plotting (EXPERIMENTS.md).
+// (default BENCH_perf_simcore.json), with the host's CPU count and
+// model, so the perf trajectory is tracked across PRs;
+// scripts/tier1.sh diffs the checksum against the checked-in baseline.
+// --task-json dumps the heterogeneous graph's per-task timeline for
+// plotting (EXPERIMENTS.md).
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/taskgraph.hpp"
 #include "common/threading.hpp"
@@ -57,52 +59,28 @@ namespace {
 
 using namespace p8;
 
-/// One hot-path pattern timed both ways.
-struct HotPathResult {
-  double batched_macc_per_s = 0.0;
-  double scalar_macc_per_s = 0.0;
-  bool identical = false;  ///< batched and scalar clocks match bit for bit
-};
-
-HotPathResult time_pattern(const sim::Machine& machine,
-                           const sim::ProbeOptions& opts,
-                           const std::vector<std::uint64_t>& trace, int reps) {
-  HotPathResult r;
+/// Best-of-`reps` replay throughput of `trace`, in Macc/s.
+double time_pattern(const sim::Machine& machine, const sim::ProbeOptions& opts,
+                    const std::vector<std::uint64_t>& trace, int reps) {
   const double n = static_cast<double>(trace.size());
-
   // Each repetition replays the same trace through a fresh probe, so
   // every rep lands on the same virtual clock and only the wall-clock
   // varies; best-of-N reports the machine's capability rather than
   // whatever the noisiest rep happened to collide with.
-  double batched_ns = 0.0;
+  double best = 0.0;
   for (int k = 0; k < reps; ++k) {
-    sim::LatencyProbe batched = machine.probe(opts);
+    sim::LatencyProbe probe = machine.probe(opts);
     sim::BatchStats stats;
     common::Timer timer;
-    batched.access_batch(trace, stats);
-    r.batched_macc_per_s =
-        std::max(r.batched_macc_per_s, n / timer.seconds() / 1e6);
-    batched_ns = batched.now_ns();
+    probe.access_batch(trace, stats);
+    best = std::max(best, n / timer.seconds() / 1e6);
   }
-
-  double scalar_ns = 0.0;
-  for (int k = 0; k < reps; ++k) {
-    sim::LatencyProbe scalar = machine.probe(opts);
-    common::Timer timer;
-    for (const std::uint64_t addr : trace) scalar.access(addr);
-    r.scalar_macc_per_s =
-        std::max(r.scalar_macc_per_s, n / timer.seconds() / 1e6);
-    scalar_ns = scalar.now_ns();
-  }
-
-  r.identical = batched_ns == scalar_ns;
-  return r;
+  return best;
 }
 
 /// Unit-stride scan with the deepest prefetch setting — every access
 /// goes through the prefetch engine and the in-flight table.
-HotPathResult seq_scan(const sim::Machine& machine, std::uint64_t n,
-                       int reps) {
+double seq_scan(const sim::Machine& machine, std::uint64_t n, int reps) {
   sim::ProbeOptions opts;
   opts.page_bytes = 16ull << 20;
   opts.dscr = 7;
@@ -113,7 +91,7 @@ HotPathResult seq_scan(const sim::Machine& machine, std::uint64_t n,
 
 /// Fig. 2-style randomized chase over a 16 MB working set — cache way
 /// scans and TLB dominate.
-HotPathResult chase(const sim::Machine& machine, std::uint64_t n, int reps) {
+double chase(const sim::Machine& machine, std::uint64_t n, int reps) {
   sim::ProbeOptions opts;
   opts.page_bytes = 64 * 1024;
   opts.dscr = 1;
@@ -127,6 +105,17 @@ HotPathResult chase(const sim::Machine& machine, std::uint64_t n, int reps) {
     pos = pos * 2862933555777941757ULL + 3037000493ULL;
   }
   return time_pattern(machine, opts, trace, reps);
+}
+
+/// The host's `model name` from /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos)
+      return line.substr(colon + 2);
+  }
+  return "unknown";
 }
 
 std::vector<std::uint64_t> fig2_sizes(std::uint64_t max_mb) {
@@ -335,8 +324,10 @@ int main(int argc, char** argv) {
   const sim::Machine machine = machine_spec->machine();
   if (!bench::gate_model(machine, no_audit)) return 2;
 
-  const HotPathResult seq = seq_scan(machine, accesses, reps);
-  const HotPathResult cha = chase(machine, accesses, reps);
+  const double seq_macc = seq_scan(machine, accesses, reps);
+  const double chase_macc = chase(machine, accesses, reps);
+  const unsigned host_cpus = std::thread::hardware_concurrency();
+  const std::string host_model = cpu_model();
 
   const auto sizes = fig2_sizes(max_mb);
   common::Timer timer;
@@ -390,14 +381,13 @@ int main(int argc, char** argv) {
   auto width_speedup = [&](std::size_t i) {
     return sizes.empty() || width_s[i] <= 0.0 ? 1.0 : seq_s / width_s[i];
   };
-  const bool all_identical =
-      identical && seq.identical && cha.identical && hetero_identical;
+  const bool all_identical = identical && hetero_identical;
 
   common::TextTable t({"Metric", "Value"});
-  t.add_row({"seq scan (dscr 7), Macc/s", common::fmt_num(seq.batched_macc_per_s, 1)});
-  t.add_row({"seq scan scalar, Macc/s", common::fmt_num(seq.scalar_macc_per_s, 1)});
-  t.add_row({"random chase (dscr 1), Macc/s", common::fmt_num(cha.batched_macc_per_s, 1)});
-  t.add_row({"random chase scalar, Macc/s", common::fmt_num(cha.scalar_macc_per_s, 1)});
+  t.add_row({"host CPUs", std::to_string(host_cpus)});
+  t.add_row({"CPU model", host_model});
+  t.add_row({"seq scan (dscr 7), Macc/s", common::fmt_num(seq_macc, 1)});
+  t.add_row({"random chase (dscr 1), Macc/s", common::fmt_num(chase_macc, 1)});
   t.add_row({"Fig. 2 sweep points", std::to_string(sizes.size())});
   t.add_row({"sweep sequential (s)", common::fmt_num(seq_s, 2)});
   t.add_row({"sweep parallel, " + std::to_string(runner.threads()) +
@@ -431,11 +421,11 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"bench\": \"perf_simcore\",\n"
                  "  \"threads\": %zu,\n"
+                 "  \"host_cpus\": %u,\n"
+                 "  \"cpu_model\": %s,\n"
                  "  \"hotpath_accesses\": %llu,\n"
                  "  \"seq_scan_macc_per_s\": %.3f,\n"
-                 "  \"seq_scan_scalar_macc_per_s\": %.3f,\n"
                  "  \"chase_macc_per_s\": %.3f,\n"
-                 "  \"chase_scalar_macc_per_s\": %.3f,\n"
                  "  \"predict_queries_per_s\": %.0f,\n"
                  "  \"sweep_max_mb\": %llu,\n"
                  "  \"sweep_points\": %zu,\n"
@@ -456,10 +446,10 @@ int main(int argc, char** argv) {
                  "  \"sweep_checksum\": \"%016llx\",\n"
                  "  \"bit_identical\": %s\n"
                  "}\n",
-                 runner.threads(),
-                 static_cast<unsigned long long>(accesses),
-                 seq.batched_macc_per_s, seq.scalar_macc_per_s,
-                 cha.batched_macc_per_s, cha.scalar_macc_per_s, predict_qps,
+                 runner.threads(), host_cpus,
+                 common::json_quote(host_model).c_str(),
+                 static_cast<unsigned long long>(accesses), seq_macc,
+                 chase_macc, predict_qps,
                  static_cast<unsigned long long>(max_mb), sizes.size(), seq_s,
                  par_s, speedup, width_speedup(0), width_speedup(1),
                  width_speedup(2), hetero_par.tasks, hetero_serial.wall_s,

@@ -208,20 +208,23 @@ echo "serve smoke: clean shutdown, no leaked socket"
 # slots and fans work across threads), the trace codec — the
 # corrupted-file rejection matrix must hold with ASan watching the
 # varint decoder and the mmap path — the predictor suite (the
-# router fans fallbacks across the sweep engine) — and the serving
+# router fans fallbacks across the sweep engine) — the serving
 # suite (socket framing, the single-flight cache, per-connection
 # threads: the daemon's buffer handling with ASan watching the
-# hostile-frame matrix) — and the chase-chain suite (the shuffle's
+# hostile-frame matrix) — the probe suite (access_batch's chunk
+# replay; docs/PERF.md says when its look-ahead read is compiled in)
+# — and the chase-chain suite (the shuffle's
 # prefetch ring and the cyclic walk index; the rest of ubench_test is
 # slow under ASan and runs in the Release ctest above).
 cmake -B build-asan -S . -DP8_SANITIZE=address
 cmake --build build-asan -j --target sim_counters_test sweep_test trace_test \
-  machine_predict_test serve_test ubench_test
+  machine_predict_test serve_test ubench_test sim_probe_test
 ./build-asan/tests/sim_counters_test
 ./build-asan/tests/sweep_test
 ./build-asan/tests/trace_test
 ./build-asan/tests/machine_predict_test
 ./build-asan/tests/serve_test
+./build-asan/tests/sim_probe_test
 ./build-asan/tests/ubench_test --gtest_filter='ChaseChain*'
 
 # Contract pass: a contracts-forced Debug build runs the parallel

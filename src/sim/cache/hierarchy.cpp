@@ -256,21 +256,6 @@ ServiceLevel ChipMemoryModel::access(std::uint64_t addr) {
   return from;
 }
 
-ServiceLevel ChipMemoryModel::access_after_l1_miss(
-    std::uint64_t addr, const SetAssocCache::Slot& l1_slot) {
-  ++counters_.loads;
-  events_.loads.add();
-  events_.l1_miss.add();
-  SetAssocCache::Slot l2_slot;
-  if (l2_.touch_slot(addr, l2_slot)) {
-    events_.l2_hit.add();
-    l1_.install_line_at(l1_slot, addr, false);
-    return ServiceLevel::kL2;
-  }
-  events_.l2_miss.add();
-  return locate_and_fill(addr, l1_slot, l2_slot);
-}
-
 ServiceLevel ChipMemoryModel::access_write(std::uint64_t addr) {
   ++counters_.stores;
   events_.stores.add();

@@ -129,34 +129,6 @@ class ChipMemoryModel {
     return config_.latency.of(level);
   }
 
-  /// Batched-replay fast path: L1 lookup with MRU promotion and no
-  /// counter updates.  On a hit this leaves cache state exactly as
-  /// access() would (an L1 hit touches nothing below the L1); on a
-  /// miss nothing changes and the caller must fall back to access().
-  /// Callers report the elided events per chunk through
-  /// add_batched_l1_load_hits().
-  bool l1_touch(std::uint64_t addr) { return l1_.touch(addr); }
-
-  /// l1_touch() that records the would-be install slot on a miss, so
-  /// the batched replay's fallback walk can skip re-scanning the L1.
-  bool l1_touch_slot(std::uint64_t addr, SetAssocCache::Slot& slot) {
-    return l1_.touch_slot(addr, slot);
-  }
-
-  /// access() for a caller that already established the L1 miss via
-  /// l1_touch_slot(): identical state evolution and counters, minus
-  /// the redundant L1 re-scan.
-  ServiceLevel access_after_l1_miss(std::uint64_t addr,
-                                    const SetAssocCache::Slot& l1_slot);
-
-  /// Credits `n` demand loads that hit L1 through l1_touch() — the
-  /// per-chunk counter aggregation of the batched replay path.
-  void add_batched_l1_load_hits(std::uint64_t n) {
-    counters_.loads += n;
-    events_.loads.add(n);
-    events_.l1_hit.add(n);
-  }
-
   /// Probe-only: where would this address hit right now?
   ServiceLevel lookup(std::uint64_t addr) const;
 

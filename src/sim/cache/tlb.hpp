@@ -43,15 +43,10 @@ class Tlb {
   /// the page is ERAT-resident *and* already the most recently used
   /// entry of its set (nothing has touched the ERAT since), so the
   /// full translate — including its MRU re-promotion — can be skipped
-  /// without changing any future replacement decision.  Callers that
-  /// skip must report the elided ERAT hits via add_batched_erat_hits().
+  /// without changing any future replacement decision.
   bool last_page_matches(std::uint64_t addr) const {
     return (addr >> page_shift_) == last_page_;
   }
-
-  /// Credits `n` ERAT hits elided through last_page_matches() — the
-  /// per-chunk counter aggregation of the batched replay path.
-  void add_batched_erat_hits(std::uint64_t n) { events_.erat_hit.add(n); }
 
   /// Extra latency charged for `outcome`.
   double penalty_ns(TlbOutcome outcome) const;

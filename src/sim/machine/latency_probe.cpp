@@ -37,22 +37,15 @@ void LatencyProbe::launch(const std::vector<PrefetchRequest>& requests) {
   }
 }
 
-AccessTiming LatencyProbe::access_slow(std::uint64_t addr, std::uint64_t line,
-                                       const SetAssocCache::Slot* l1_slot) {
+AccessTiming LatencyProbe::access(std::uint64_t addr) {
+  const std::uint64_t line = addr & line_mask_;
+  AccessTiming t;
   // A depth-0 engine never issues a prefetch (demand or DCBT), so the
   // in-flight table is provably empty and the probe can be skipped.
   // Probing here instead of after the translate is safe: the table
-  // only changes through launch()/erase() below.
-  return access_resolved(addr, line,
-                         engine_.enabled() ? inflight_.find(line) : nullptr,
-                         l1_slot);
-}
-
-AccessTiming LatencyProbe::access_resolved(std::uint64_t addr,
-                                           std::uint64_t line,
-                                           const double* completion,
-                                           const SetAssocCache::Slot* l1_slot) {
-  AccessTiming t;
+  // only changes through launch()/erase_found() below.
+  const double* completion =
+      engine_.enabled() ? inflight_.find(line) : nullptr;
   // Start pulling the big levels' set arrays toward the host core
   // while the ERAT/TLB scan runs — the walk below reads them serially
   // and would otherwise stall on each level in turn.
@@ -69,12 +62,7 @@ AccessTiming LatencyProbe::access_resolved(std::uint64_t addr,
     memory_.install_prefetched(line);
     inflight_.erase_found(completion);
   } else {
-    // A batch caller that already established the L1 miss (and
-    // recorded the victim way) hands the walk straight to the levels
-    // below; the scalar path scans the L1 itself.
-    const ServiceLevel level =
-        l1_slot ? memory_.access_after_l1_miss(line, *l1_slot)
-                : memory_.access(line);
+    const ServiceLevel level = memory_.access(line);
     double service = memory_.latency_ns(level);
     if (level == ServiceLevel::kL4 || level == ServiceLevel::kDram)
       service += config_.remote_extra_ns;
@@ -103,119 +91,32 @@ AccessTiming LatencyProbe::access_resolved(std::uint64_t addr,
   return t;
 }
 
-AccessTiming LatencyProbe::access(std::uint64_t addr) {
-  return access_slow(addr, addr & line_mask_);
-}
-
 void LatencyProbe::access_batch(std::span<const std::uint64_t> addrs,
                                 BatchStats& stats) {
   const double t0 = now_ns_;
-  // The fast-path step is exactly what access_slow charges for an
-  // ERAT-register hit (penalty 0.0) plus an L1 service:
-  //   latency = 0.0 + l1_ns;  now += latency + compute
-  // so one precomputed addend reproduces the clock bit for bit.
-  const double fast_step =
-      config_.hierarchy.latency.l1_ns + config_.compute_per_access_ns;
-  std::uint64_t fast = 0;
-  std::uint64_t fast_pref = 0;
-  std::uint64_t prefetched = 0;
-
-  // Knowing the future is what the batch path buys: hint the host CPU
-  // about the set arrays a few addresses ahead, so by the time the
-  // walk reaches them the (host-LLC-dwarfing) victim/L4 arrays are
-  // resident.  Hints read no simulator state and write none, and they
-  // only pay for themselves when the walk actually scans those arrays
-  // — so they are issued from the slow-path iterations, not for the
-  // short-circuited ones (a unit-stride scan with the prefetcher on
-  // never leaves the fast path and was paying ~6 host prefetches per
-  // access for set arrays it never read).
+  // Knowing the future is what the batch buys: hint the host CPU about
+  // the set arrays a few addresses ahead, so by the time the walk
+  // reaches them the (host-LLC-dwarfing) victim/L4 arrays are
+  // resident.  Hints read no simulator state and write none.  They
+  // only pay when the walk leaves the L1 and scans those arrays, so
+  // they follow L1-missing accesses only (a unit-stride scan with the
+  // prefetcher on stays in the L1 and would pay ~6 host prefetches
+  // per access for set arrays it never reads).  GCC 12 at -O3 drops
+  // the hints today; see docs/PERF.md.
   constexpr std::size_t kLookahead = 8;
   const std::size_t n = addrs.size();
-
-  if (!engine_.enabled()) {
-    // Prefetches only ever enter the in-flight table via launch(), and
-    // a depth-0 engine never issues any — the table stays empty for
-    // the whole chunk, so the per-access in-flight probe is dropped.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t addr = addrs[i];
-      const std::uint64_t line = addr & line_mask_;
-      SetAssocCache::Slot l1_slot;
-      if (tlb_.last_page_matches(addr) && memory_.l1_touch_slot(line, l1_slot)) {
-        ++fast;
-        now_ns_ += fast_step;
-        continue;
-      }
-      if (i + kLookahead < n)
-        memory_.prefetch_sets(addrs[i + kLookahead] & line_mask_);
-      // When the fast path died on the L1 scan, the recorded slot
-      // spares the fallback walk from scanning the set again.
-      prefetched +=
-          access_slow(addr, line, l1_slot.recorded ? &l1_slot : nullptr)
-              .prefetched;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t addr = addrs[i];
-      const std::uint64_t line = addr & line_mask_;
-      SetAssocCache::Slot l1_slot;
-      // The in-flight probe is read-only and the register check skips
-      // only a state-neutral MRU re-promotion, so taking them before
-      // the translate does not reorder any state update.  The probe's
-      // result is also still valid inside the fallback (nothing below
-      // mutates the table first), so it is taken once and handed down.
-      const double* completion = inflight_.find(line);
-      if (completion != nullptr) {
-        if (tlb_.last_page_matches(addr)) {
-          // Prefetched-completion fast path: a covered line on the
-          // current page charges exactly what access_resolved would —
-          // zero ERAT penalty plus l1_ns plus the fill residual — with
-          // the same state updates in the same order, but without the
-          // translate call, the set hints, or per-access counters.
-          // This is the steady state of a prefetched sequential scan.
-          const double residual = std::max(0.0, *completion - now_ns_);
-          memory_.install_prefetched(line);
-          inflight_.erase_found(completion);
-          engine_.on_access(line, requests_);
-          launch(requests_);
-          const double latency =
-              config_.hierarchy.latency.l1_ns + residual;
-          now_ns_ += latency + config_.compute_per_access_ns;
-          ++fast_pref;
-          continue;
-        }
-      } else if (tlb_.last_page_matches(addr) &&
-                 memory_.l1_touch_slot(line, l1_slot)) {
-        ++fast;
-        // Same event order as access_slow: the engine sees the access
-        // and launches at the *pre-access* clock, then time advances.
-        engine_.on_access(line, requests_);
-        launch(requests_);
-        now_ns_ += fast_step;
-        continue;
-      }
-      if (i + kLookahead < n)
-        memory_.prefetch_sets(addrs[i + kLookahead] & line_mask_);
-      prefetched += access_resolved(addr, line, completion,
-                                    l1_slot.recorded ? &l1_slot : nullptr)
-                        .prefetched;
-    }
-  }
-
-  if (fast != 0 || fast_pref != 0) {
-    // Chunk-aggregated counter updates for the short-circuited
-    // accesses; the slow path counted its own per access.
-    tlb_.add_batched_erat_hits(fast + fast_pref);
-    if (fast != 0) memory_.add_batched_l1_load_hits(fast);
-    events_.accesses.add(fast + fast_pref);
-    if (fast_pref != 0) events_.prefetched.add(fast_pref);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool same_page = tlb_.last_page_matches(addrs[i]);
+    const AccessTiming t = access(addrs[i]);
+    const bool l1 = t.level == ServiceLevel::kL1;
+    if (!l1 && i + kLookahead < n)
+      memory_.prefetch_sets(addrs[i + kLookahead] & line_mask_);
+    stats.l1_fast_hits += same_page && l1 && !t.prefetched;
+    stats.prefetched_hits += t.prefetched;
   }
   P8_ENSURE(now_ns_ >= t0,
             "replaying a chunk must never move the probe clock backwards");
-  P8_ENSURE(fast + fast_pref <= addrs.size(),
-            "the fast path cannot claim more accesses than the chunk holds");
-  stats.accesses += addrs.size();
-  stats.l1_fast_hits += fast;
-  stats.prefetched_hits += prefetched + fast_pref;
+  stats.accesses += n;
   stats.busy_ns += now_ns_ - t0;
 }
 

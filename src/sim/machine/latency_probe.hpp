@@ -50,7 +50,10 @@ struct AccessTiming {
 /// across calls, so one BatchStats can follow a whole replay).
 struct BatchStats {
   std::uint64_t accesses = 0;        ///< demand loads replayed
-  std::uint64_t l1_fast_hits = 0;    ///< short-circuited L1/ERAT fast path
+  /// L1 hits on the page of the previous translation with no prefetch
+  /// covering the line: the accesses that touch only the ERAT
+  /// register and the L1.
+  std::uint64_t l1_fast_hits = 0;
   std::uint64_t prefetched_hits = 0; ///< serviced out of a prefetch
   double busy_ns = 0.0;              ///< simulated clock advance
 };
@@ -64,14 +67,11 @@ class LatencyProbe {
   /// Performs one demand load and advances the clock.
   AccessTiming access(std::uint64_t addr);
 
-  /// Batched replay: performs the demand loads of `addrs` in order,
-  /// leaving every piece of simulator state — caches, TLB, prefetch
-  /// streams, in-flight fills, the virtual clock, all counters — in
-  /// exactly the state the equivalent access() loop produces, double
-  /// for double.  The common case (line L1-resident, page in the
-  /// last-translation register, no prefetch in flight for the line)
-  /// short-circuits the full walk, and its counter updates are
-  /// aggregated once per chunk instead of once per access.
+  /// Performs the demand loads of `addrs` in order through access(),
+  /// so every piece of simulator state ends exactly as the equivalent
+  /// access() loop leaves it.  What the chunk adds is foresight: after
+  /// each access that leaves the L1, the host is hinted about the set
+  /// arrays a few addresses ahead.  Accumulates the chunk into `stats`.
   void access_batch(std::span<const std::uint64_t> addrs, BatchStats& stats);
 
   /// Issues a DCBT stream hint at the current time (paper §III-D).
@@ -95,21 +95,6 @@ class LatencyProbe {
 
  private:
   void launch(const std::vector<PrefetchRequest>& requests);
-
-  /// The full per-access walk — the one implementation both access()
-  /// and the batch slow path share, so event ordering is identical by
-  /// construction.  `line` is `addr & line_mask_`.  A batch caller
-  /// whose fast-path check already scanned the L1 passes the recorded
-  /// miss slot so the walk does not rescan it.
-  AccessTiming access_slow(std::uint64_t addr, std::uint64_t line,
-                           const SetAssocCache::Slot* l1_slot = nullptr);
-
-  /// access_slow() with the in-flight probe already taken — the batch
-  /// fast-path check probes the table anyway, so its fallback hands
-  /// the result down instead of probing twice.
-  AccessTiming access_resolved(std::uint64_t addr, std::uint64_t line,
-                               const double* completion,
-                               const SetAssocCache::Slot* l1_slot);
 
   ProbeConfig config_;
   Tlb tlb_;

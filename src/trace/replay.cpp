@@ -48,13 +48,6 @@ std::optional<ChunkedReplayer::Mark> ChunkedReplayer::find_mark(
   return std::nullopt;
 }
 
-std::optional<ChunkedReplayer::Mark> ScalarReplayer::find_mark(
-    std::uint64_t id) const {
-  for (const ChunkedReplayer::Mark& m : marks_)
-    if (m.id == id) return m;
-  return std::nullopt;
-}
-
 ReplayResult replay_trace(TraceReader& reader, sim::LatencyProbe& probe) {
   ChunkedReplayer sink(probe, reader.chunk_records());
   std::vector<TraceRecord> chunk;

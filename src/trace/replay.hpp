@@ -3,9 +3,9 @@
 // workload generator (or a TraceReader loop) drives the simulator with
 // peak memory bounded by the buffer — never by the stream length.
 //
-// The batch path is pinned bit-identical to the scalar path at any
-// chunk split, so replaying through this sink produces exactly the
-// clock, counters and stats a materialized one-shot replay would.
+// access_batch is an access() loop, so replaying through this sink
+// produces exactly the clock, counters and stats of one access() per
+// record at any chunk split.
 #pragma once
 
 #include <optional>
@@ -39,8 +39,9 @@ class ChunkedReplayer final : public TraceSink {
   void mark(std::uint64_t id) override;
 
   /// Replays any buffered accesses now.  Called automatically when the
-  /// buffer fills and before every hint/stop/mark (so event order
-  /// matches the scalar loop); call once after the last record.
+  /// buffer fills and before every hint/stop/mark (so hints, stops and
+  /// marks land between the same accesses as in the stream); call once
+  /// after the last record.
   void flush();
 
   const sim::BatchStats& stats() const { return stats_; }
@@ -56,9 +57,9 @@ class ChunkedReplayer final : public TraceSink {
   std::vector<Mark> marks_;
 };
 
-/// TraceSink that performs one probe.access() per record — the scalar
-/// reference path.  The batch equivalence tests pin ChunkedReplayer
-/// bit-identical to this over the same stream.
+/// TraceSink that performs one probe.access() per record and ignores
+/// marks — a reference the trace tests replay a decoded file through,
+/// to pin the codec to the in-memory ChunkedReplayer run.
 class ScalarReplayer final : public TraceSink {
  public:
   explicit ScalarReplayer(sim::LatencyProbe& probe) : probe_(probe) {}
@@ -72,18 +73,13 @@ class ScalarReplayer final : public TraceSink {
     probe_.dcbt_hint(start, length_bytes, descending);
   }
   void dcbt_stop(std::uint64_t addr) override { probe_.dcbt_stop(addr); }
-  void mark(std::uint64_t id) override {
-    marks_.push_back({id, probe_.now_ns(), accesses_});
-  }
+  void mark(std::uint64_t) override {}
 
   std::uint64_t accesses() const { return accesses_; }
-  const std::vector<ChunkedReplayer::Mark>& marks() const { return marks_; }
-  std::optional<ChunkedReplayer::Mark> find_mark(std::uint64_t id) const;
 
  private:
   sim::LatencyProbe& probe_;
   std::uint64_t accesses_ = 0;
-  std::vector<ChunkedReplayer::Mark> marks_;
 };
 
 /// Outcome of a full-file replay.

@@ -46,13 +46,12 @@ std::vector<std::uint32_t> sattolo_order(std::uint64_t n, std::uint64_t seed) {
 }
 
 /// ns per access over the window from the measure mark to the end of
-/// the replay: (clock advance) / (accesses past the mark).
-template <typename Sink>
-double window_latency_ns(const sim::LatencyProbe& probe, const Sink& sink,
-                         std::uint64_t total_accesses) {
+/// the (flushed) replay: (clock advance) / (accesses past the mark).
+double window_latency_ns(const sim::LatencyProbe& probe,
+                         const trace::ChunkedReplayer& sink) {
   const auto mark = sink.find_mark(kMarkMeasureStart);
   P8_REQUIRE(mark.has_value(), "trace carries no measure mark");
-  const std::uint64_t measured = total_accesses - mark->accesses;
+  const std::uint64_t measured = sink.stats().accesses - mark->accesses;
   P8_REQUIRE(measured >= 1, "empty measurement window");
   return (probe.now_ns() - mark->now_ns) / static_cast<double>(measured);
 }
@@ -126,20 +125,12 @@ double chase_latency_ns(const sim::Machine& machine,
   probe_options.counters = options.counters;
   sim::LatencyProbe probe = machine.probe(probe_options);
 
-  // One generator drives both paths: the stream flows through a
-  // TraceSink, chunked into access_batch (batched) or one access() per
-  // load (scalar).  The batch path is pinned bit-identical at any
-  // chunk split, so the two agree double for double.
-  if (options.batched) {
-    trace::ChunkedReplayer sink(probe);
-    emit_chase_trace(line, options, sink);
-    sink.flush();
-    return window_latency_ns(probe, sink, sink.stats().accesses);
-  }
-
-  trace::ScalarReplayer sink(probe);
+  // The stream flows from the generator through a TraceSink, chunked
+  // into access_batch; it is never materialized whole.
+  trace::ChunkedReplayer sink(probe);
   emit_chase_trace(line, options, sink);
-  return window_latency_ns(probe, sink, sink.accesses());
+  sink.flush();
+  return window_latency_ns(probe, sink);
 }
 
 std::vector<LatencyPoint> memory_latency_scan(
@@ -200,16 +191,10 @@ double stride_latency_ns(const sim::Machine& machine,
   probe_options.counters = options.counters;
   sim::LatencyProbe probe = machine.probe(probe_options);
 
-  if (options.batched) {
-    trace::ChunkedReplayer sink(probe);
-    emit_stride_trace(line, options, sink);
-    sink.flush();
-    return window_latency_ns(probe, sink, sink.stats().accesses);
-  }
-
-  trace::ScalarReplayer sink(probe);
+  trace::ChunkedReplayer sink(probe);
   emit_stride_trace(line, options, sink);
-  return window_latency_ns(probe, sink, sink.accesses());
+  sink.flush();
+  return window_latency_ns(probe, sink);
 }
 
 void emit_dcbt_trace(std::uint64_t line_bytes, const DcbtOptions& options,
@@ -252,17 +237,10 @@ double dcbt_block_bandwidth_gbs(const sim::Machine& machine,
   probe_options.counters = options.counters;
   sim::LatencyProbe probe = machine.probe(probe_options);
 
-  double t0 = 0.0;
-  if (options.batched) {
-    trace::ChunkedReplayer sink(probe);
-    emit_dcbt_trace(line, options, sink);
-    sink.flush();
-    t0 = sink.find_mark(kMarkMeasureStart)->now_ns;
-  } else {
-    trace::ScalarReplayer sink(probe);
-    emit_dcbt_trace(line, options, sink);
-    t0 = sink.find_mark(kMarkMeasureStart)->now_ns;
-  }
+  trace::ChunkedReplayer sink(probe);
+  emit_dcbt_trace(line, options, sink);
+  sink.flush();
+  const double t0 = sink.find_mark(kMarkMeasureStart)->now_ns;
   const std::uint64_t bytes = blocks * options.block_bytes;
   const double elapsed_ns = probe.now_ns() - t0;
   return static_cast<double>(bytes) / elapsed_ns;  // bytes/ns == GB/s

@@ -56,11 +56,6 @@ struct ChaseOptions {
   std::uint64_t seed = 42;
   /// Optional event sink for the probe stack (null = counting off).
   sim::CounterRegistry* counters = nullptr;
-  /// Replay the chain through LatencyProbe::access_batch (the chain is
-  /// materialized once into a flat address buffer) instead of one
-  /// access() per load.  Results are bit-identical either way; the
-  /// scalar path exists for the equivalence tests.
-  bool batched = true;
 };
 
 /// Average load-to-use latency of a randomized pointer chase (every
@@ -98,8 +93,6 @@ struct StrideOptions {
   bool stride_n = false;
   /// Optional event sink for the probe stack (null = counting off).
   sim::CounterRegistry* counters = nullptr;
-  /// Batched replay (see ChaseOptions::batched).
-  bool batched = true;
 };
 
 /// Average latency of a strided sequential scan (Fig. 7): only every
@@ -116,10 +109,6 @@ struct DcbtOptions {
   std::uint64_t seed = 7;
   /// Optional event sink for the probe stack (null = counting off).
   sim::CounterRegistry* counters = nullptr;
-  /// Batched replay (see ChaseOptions::batched): each block's line
-  /// walk is materialized once and fed through access_batch between
-  /// the DCBT hint and stop.
-  bool batched = true;
 };
 
 /// Achieved read bandwidth (GB/s, single thread) of the random-block
@@ -132,9 +121,9 @@ double dcbt_block_bandwidth_gbs(const sim::Machine& machine,
 // ---------------------------------------------------------------------------
 // Trace emission.  Each generator produces its exact access stream —
 // the same addresses, in the same order, with a kMarkMeasureStart mark
-// at the warm→measure boundary — through a TraceSink.  The batched
-// drivers above feed a ChunkedReplayer; `p8trace record` feeds a
-// TraceWriter; both see one stream, never materialized.
+// at the warm→measure boundary — through a TraceSink.  The drivers
+// above feed a ChunkedReplayer; `p8trace record` feeds a TraceWriter;
+// both see one stream, never materialized.
 
 /// The pointer chase of chase_latency_ns (warm laps, mark, measured
 /// laps).  `line_bytes` is the machine's cache-line size.

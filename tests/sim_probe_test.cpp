@@ -2,17 +2,22 @@
 // residuals, TLB penalties and SMP hop extras.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <span>
-#include <vector>
+#include <stdexcept>
 
 #include "arch/spec.hpp"
+#include "common/units.hpp"
+#include "proptest.hpp"
 #include "sim/counters.hpp"
 #include "sim/machine/latency_probe.hpp"
 #include "sim/machine/machine.hpp"
+#include "trace/replay.hpp"
+#include "ubench/workloads.hpp"
 
 namespace p8::sim {
 namespace {
+
+using common::kib;
+using common::mib;
 
 ProbeConfig base_config(int dscr = 1) {
   ProbeConfig c;
@@ -172,131 +177,121 @@ TEST(Machine, ProbeFactoryWiresRemoteLatency) {
 }
 
 // ---------------------------------------------------------------------
-// Batched-replay equivalence: access_batch() must leave the probe in
-// exactly the state the access() loop produces — virtual clock double
-// for double and every counter in the stack — for any pattern and any
-// chunking.
+// access_batch() is an access() loop plus host-side set hints, so it
+// must leave the probe in exactly the state that loop produces —
+// virtual clock double for double and every counter in the stack —
+// for any stream and any chunking, and its BatchStats must be what
+// the loop's AccessTimings say they are.
 
-/// Replays `trace` through a scalar probe and through access_batch in
-/// `chunk`-sized pieces, then requires bit-identical clocks and
-/// identical counter snapshots.
-void expect_batch_equals_scalar(const ProbeConfig& cfg,
-                                const std::vector<std::uint64_t>& trace,
-                                std::size_t chunk) {
-  LatencyProbe scalar(cfg);
-  CounterRegistry scalar_counters;
-  scalar.attach_counters(&scalar_counters);
-  for (const std::uint64_t addr : trace) scalar.access(addr);
+/// The reference sink: one access() per load, cut into the chunks
+/// ChunkedReplayer cuts (a full buffer, a hint, a stop, a mark), with
+/// the BatchStats derived from the AccessTimings.  The last-translation
+/// register is the previous load's page: every load translates, hints
+/// do not.
+class AccessLoop final : public trace::TraceSink {
+ public:
+  AccessLoop(LatencyProbe& probe, std::size_t chunk)
+      : probe_(probe), chunk_(chunk) {}
 
-  LatencyProbe batched(cfg);
-  CounterRegistry batched_counters;
-  batched.attach_counters(&batched_counters);
+  void access(std::uint64_t addr) override {
+    if (pending_ == 0) chunk_start_ns_ = probe_.now_ns();
+    const std::uint64_t page = addr / probe_.config().tlb.page_bytes;
+    const AccessTiming t = probe_.access(addr);
+    ++stats.accesses;
+    stats.l1_fast_hits +=
+        page == last_page_ && t.level == ServiceLevel::kL1 && !t.prefetched;
+    stats.prefetched_hits += t.prefetched;
+    last_page_ = page;
+    if (++pending_ == chunk_) cut();
+  }
+  void dcbt_hint(std::uint64_t start, std::uint64_t length_bytes,
+                 bool descending) override {
+    cut();
+    probe_.dcbt_hint(start, length_bytes, descending);
+  }
+  void dcbt_stop(std::uint64_t addr) override {
+    cut();
+    probe_.dcbt_stop(addr);
+  }
+  void mark(std::uint64_t) override { cut(); }
+
+  /// Closes the open chunk; call once after the last record.
+  void cut() {
+    if (pending_ != 0) stats.busy_ns += probe_.now_ns() - chunk_start_ns_;
+    pending_ = 0;
+  }
+
   BatchStats stats;
-  const std::span<const std::uint64_t> all(trace);
-  for (std::size_t i = 0; i < trace.size(); i += chunk)
-    batched.access_batch(all.subspan(i, std::min(chunk, trace.size() - i)),
-                         stats);
 
-  EXPECT_EQ(batched.now_ns(), scalar.now_ns()) << "chunk=" << chunk;
-  EXPECT_EQ(batched_counters.to_csv(), scalar_counters.to_csv())
-      << "chunk=" << chunk;
-  EXPECT_EQ(stats.accesses, trace.size());
-}
+ private:
+  LatencyProbe& probe_;
+  std::size_t chunk_;
+  std::size_t pending_ = 0;
+  double chunk_start_ns_ = 0.0;
+  std::uint64_t last_page_ = ~std::uint64_t{0};
+};
 
-ProbeConfig small_page_config(int dscr) {
-  ProbeConfig c = base_config(dscr);
-  c.tlb.page_bytes = 64 * 1024;  // exercise ERAT/TLB misses too
-  return c;
-}
+TEST(ProbeBatchProperty, BatchEqualsAccessLoop) {
+  const Machine m = Machine(arch::e870());
+  const std::uint64_t line = m.spec().processor.cache_line_bytes;
+  P8_PROP(gen, 64, 0xba7c4ed) {
+    // One of the drivers' streams: a random, forward- or backward-
+    // stride chase (L1-resident to DRAM-bound), a strided scan, or a
+    // random block walk with or without DCBT hints.
+    const int shape = gen.int_range(0, 2);
+    ubench::ChaseOptions chase;
+    chase.working_set_bytes =
+        gen.pick<std::uint64_t>({kib(16), kib(32), kib(256), mib(4)});
+    chase.pattern = gen.pick({ubench::ChasePattern::kRandom,
+                              ubench::ChasePattern::kForwardStride,
+                              ubench::ChasePattern::kBackwardStride});
+    chase.stride_lines = gen.range(1, 4);
+    chase.seed = gen.u64();
+    chase.warm_accesses = chase.measure_accesses = gen.range(1000, 3000);
+    ubench::StrideOptions stride;
+    stride.stride_lines = gen.pick<std::uint64_t>({1, 2, 256});
+    stride.accesses = gen.range(2000, 6000);
+    ubench::DcbtOptions dcbt;
+    dcbt.block_bytes = gen.pick<std::uint64_t>({2048, 8192});
+    dcbt.total_bytes = gen.pick<std::uint64_t>({kib(512), mib(1)});
+    dcbt.use_dcbt = gen.chance(0.5);
+    dcbt.seed = gen.u64();
+    const auto emit = [&](trace::TraceSink& sink) {
+      if (shape == 0)
+        ubench::emit_chase_trace(line, chase, sink);
+      else if (shape == 1)
+        ubench::emit_stride_trace(line, stride, sink);
+      else
+        ubench::emit_dcbt_trace(line, dcbt, sink);
+    };
+    ProbeOptions options;
+    // 4 KB pages spread an L1-resident chase over several pages, so L1
+    // hits both on and off the last-translated page occur.
+    options.page_bytes = gen.pick<std::uint64_t>({kib(4), kib(64), mib(16)});
+    options.dscr = gen.pick({0, 1, 2, 7});  // 1: engine off
+    const std::size_t chunk = gen.pick<std::size_t>(
+        {1, 7, static_cast<std::size_t>(gen.range(2, 1000)), 1u << 16});
 
-std::vector<std::uint64_t> random_trace(std::uint64_t working_set_bytes,
-                                        std::size_t n) {
-  const std::uint64_t lines = working_set_bytes / 128;
-  std::vector<std::uint64_t> trace(n);
-  std::uint64_t pos = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    trace[i] = (pos % lines) * 128;
-    pos = pos * 2862933555777941757ULL + 3037000493ULL;
+    CounterRegistry loop_counters, batch_counters;
+    options.counters = &loop_counters;
+    LatencyProbe loop_probe = m.probe(options);
+    AccessLoop loop(loop_probe, chunk);
+    emit(loop);
+    loop.cut();
+    options.counters = &batch_counters;
+    LatencyProbe batch_probe = m.probe(options);
+    trace::ChunkedReplayer batch(batch_probe, chunk);
+    emit(batch);
+    batch.flush();
+
+    EXPECT_EQ(batch_probe.now_ns(), loop_probe.now_ns()) << "chunk=" << chunk;
+    EXPECT_EQ(batch_counters.to_csv(), loop_counters.to_csv())
+        << "chunk=" << chunk;
+    EXPECT_EQ(batch.stats().accesses, loop.stats.accesses);
+    EXPECT_EQ(batch.stats().l1_fast_hits, loop.stats.l1_fast_hits);
+    EXPECT_EQ(batch.stats().prefetched_hits, loop.stats.prefetched_hits);
+    EXPECT_EQ(batch.stats().busy_ns, loop.stats.busy_ns);
   }
-  return trace;
-}
-
-std::vector<std::uint64_t> stride_trace(std::size_t n, std::uint64_t lines,
-                                        bool descending) {
-  std::vector<std::uint64_t> trace(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t step = (static_cast<std::uint64_t>(i) % lines) * 128;
-    trace[i] = descending ? (lines * 128 - 128 - step) : step;
-  }
-  return trace;
-}
-
-TEST(ProbeBatch, RandomChaseMatchesScalarEngineOn) {
-  const auto trace = random_trace(4ull << 20, 20000);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{256}, trace.size()})
-    expect_batch_equals_scalar(small_page_config(/*dscr=*/1), trace, chunk);
-}
-
-TEST(ProbeBatch, RandomChaseMatchesScalarEngineOff) {
-  const auto trace = random_trace(4ull << 20, 20000);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{256}, trace.size()})
-    expect_batch_equals_scalar(small_page_config(/*dscr=*/0), trace, chunk);
-}
-
-TEST(ProbeBatch, ForwardStrideMatchesScalar) {
-  // Ascending unit stride with a deep prefetch setting: the fallback
-  // path carries live in-flight prefetches across chunk boundaries.
-  const auto trace = stride_trace(20000, 4096, /*descending=*/false);
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{3}, std::size_t{1000}})
-    expect_batch_equals_scalar(small_page_config(/*dscr=*/7), trace, chunk);
-}
-
-TEST(ProbeBatch, BackwardStrideMatchesScalar) {
-  const auto trace = stride_trace(20000, 4096, /*descending=*/true);
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{3}, std::size_t{1000}})
-    expect_batch_equals_scalar(small_page_config(/*dscr=*/7), trace, chunk);
-}
-
-TEST(ProbeBatch, DcbtHintedBlockMatchesScalar) {
-  // Fig. 8 shape: DCBT stream hint, sequential walk of the block,
-  // stream stop — replayed scalar vs batched (chunk a non-divisor of
-  // the block length to cross block edges mid-chunk).
-  const ProbeConfig cfg = small_page_config(/*dscr=*/0);
-  const std::uint64_t block_lines = 64;
-  const std::uint64_t blocks = 40;
-
-  LatencyProbe scalar(cfg);
-  CounterRegistry scalar_counters;
-  scalar.attach_counters(&scalar_counters);
-  LatencyProbe batched(cfg);
-  CounterRegistry batched_counters;
-  batched.attach_counters(&batched_counters);
-
-  std::vector<std::uint64_t> walk(block_lines);
-  BatchStats stats;
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    const std::uint64_t start = b * block_lines * 128;
-    scalar.dcbt_hint(start, block_lines * 128);
-    for (std::uint64_t i = 0; i < block_lines; ++i)
-      scalar.access(start + i * 128);
-    scalar.dcbt_stop(start);
-
-    for (std::uint64_t i = 0; i < block_lines; ++i)
-      walk[i] = start + i * 128;
-    batched.dcbt_hint(start, block_lines * 128);
-    const std::span<const std::uint64_t> all(walk);
-    for (std::size_t i = 0; i < walk.size(); i += 7)
-      batched.access_batch(
-          all.subspan(i, std::min<std::size_t>(7, walk.size() - i)), stats);
-    batched.dcbt_stop(start);
-  }
-
-  EXPECT_EQ(batched.now_ns(), scalar.now_ns());
-  EXPECT_EQ(batched_counters.to_csv(), scalar_counters.to_csv());
 }
 
 TEST(Machine, ProbeRejectsBadChips) {

@@ -534,8 +534,8 @@ TEST(TraceProperty, FileReplayBitIdenticalToInMemoryAtEveryChunkSize) {
 
 TEST(TraceProperty, ScalarReplayOfFileMatchesInMemoryClock) {
   // The decoded stream fed one access at a time must land on the same
-  // clock as the batched in-memory replay — ties the codec to the
-  // scalar/batched equivalence contract.
+  // clock as the chunked in-memory replay — ties the codec to the
+  // probe's access()/access_batch() equivalence.
   P8_PROP(gen, 8, 0x51de0c0deull) {
     const std::vector<TraceRecord> records = random_stream(gen);
     sim::ProbeOptions options;

@@ -11,6 +11,7 @@
 #include "common/units.hpp"
 #include "arch/spec.hpp"
 #include "sim/machine/machine.hpp"
+#include "trace/replay.hpp"
 #include "ubench/workloads.hpp"
 
 namespace p8::ubench {
@@ -339,70 +340,38 @@ TEST(Dcbt, RejectsSubLineBlocks) {
 }
 
 // ---------------------------------------------------------------------
-// Batched replay through the workload drivers: every driver must
-// report the same result — and drive the same counter totals — with
-// batched replay on or off.
+// The BatchStats p8bench and p8trace report, pinned for three chases
+// replayed through ChunkedReplayer.  l1_fast_hits counts L1 hits on
+// the page of the previous translation with no prefetch covering the
+// line.
 
-TEST(BatchedReplay, ChasePatternsMatchScalar) {
-  for (const ChasePattern pattern :
-       {ChasePattern::kRandom, ChasePattern::kForwardStride,
-        ChasePattern::kBackwardStride}) {
-    ChaseOptions batched;
-    batched.working_set_bytes = mib(4);
-    batched.page_bytes = 64 * 1024;
-    batched.dscr = 2;  // prefetch on: streams cross the replay chunks
-    batched.pattern = pattern;
-    batched.warm_accesses = 1u << 15;
-    batched.measure_accesses = 1u << 15;
-    ChaseOptions scalar = batched;
-    scalar.batched = false;
-
-    sim::CounterRegistry batched_counters, scalar_counters;
-    batched.counters = &batched_counters;
-    scalar.counters = &scalar_counters;
-
-    const double lat_batched = chase_latency_ns(machine(), batched);
-    const double lat_scalar = chase_latency_ns(machine(), scalar);
-    EXPECT_EQ(lat_batched, lat_scalar)
-        << "pattern " << static_cast<int>(pattern);
-    EXPECT_EQ(batched_counters.to_csv(), scalar_counters.to_csv())
-        << "pattern " << static_cast<int>(pattern);
-  }
-}
-
-TEST(BatchedReplay, StrideMatchesScalar) {
-  StrideOptions batched;
-  batched.accesses = 50000;
-  StrideOptions scalar = batched;
-  scalar.batched = false;
-
-  sim::CounterRegistry batched_counters, scalar_counters;
-  batched.counters = &batched_counters;
-  scalar.counters = &scalar_counters;
-
-  EXPECT_EQ(stride_latency_ns(machine(), batched),
-            stride_latency_ns(machine(), scalar));
-  EXPECT_EQ(batched_counters.to_csv(), scalar_counters.to_csv());
-}
-
-TEST(BatchedReplay, DcbtMatchesScalar) {
-  for (const bool use_dcbt : {false, true}) {
-    DcbtOptions batched;
-    batched.block_bytes = 2048;
-    batched.total_bytes = 4ull << 20;
-    batched.use_dcbt = use_dcbt;
-    DcbtOptions scalar = batched;
-    scalar.batched = false;
-
-    sim::CounterRegistry batched_counters, scalar_counters;
-    batched.counters = &batched_counters;
-    scalar.counters = &scalar_counters;
-
-    EXPECT_EQ(dcbt_block_bandwidth_gbs(machine(), batched),
-              dcbt_block_bandwidth_gbs(machine(), scalar))
-        << "use_dcbt " << use_dcbt;
-    EXPECT_EQ(batched_counters.to_csv(), scalar_counters.to_csv())
-        << "use_dcbt " << use_dcbt;
+TEST(ReplayStats, ChaseFastAndPrefetchedHitsArePinned) {
+  struct Case {
+    std::uint64_t ws;
+    ChasePattern pattern;
+    int dscr;
+    std::uint64_t accesses, l1_fast_hits, prefetched_hits;
+  };
+  for (const Case& c : {Case{kib(32), ChasePattern::kRandom, 1, 768, 512, 0},
+                        Case{kib(32), ChasePattern::kForwardStride, 2, 768,
+                             512, 253},
+                        Case{kib(256), ChasePattern::kForwardStride, 2, 6144,
+                             0, 2045}}) {
+    SCOPED_TRACE(testing::Message() << "ws " << c.ws << " dscr " << c.dscr);
+    ChaseOptions o;
+    o.working_set_bytes = c.ws;
+    o.pattern = c.pattern;
+    o.warm_accesses = o.measure_accesses = 1u << 16;
+    sim::ProbeOptions probe_options;
+    probe_options.page_bytes = o.page_bytes;  // 64 KB
+    probe_options.dscr = c.dscr;
+    sim::LatencyProbe probe = machine().probe(probe_options);
+    trace::ChunkedReplayer sink(probe, 1000);
+    emit_chase_trace(machine().spec().processor.cache_line_bytes, o, sink);
+    sink.flush();
+    EXPECT_EQ(sink.stats().accesses, c.accesses);
+    EXPECT_EQ(sink.stats().l1_fast_hits, c.l1_fast_hits);
+    EXPECT_EQ(sink.stats().prefetched_hits, c.prefetched_hits);
   }
 }
 

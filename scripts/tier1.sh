@@ -212,10 +212,9 @@ echo "serve smoke: clean shutdown, no leaked socket"
 # suite (socket framing, the single-flight cache, per-connection
 # threads: the daemon's buffer handling with ASan watching the
 # hostile-frame matrix) — the probe suite (access_batch's chunk
-# replay; docs/PERF.md says when its look-ahead read is compiled in)
-# — and the chase-chain suite (the shuffle's
-# prefetch ring and the cyclic walk index; the rest of ubench_test is
-# slow under ASan and runs in the Release ctest above).
+# replay and its look-ahead reads) — and the chase-chain suite (the
+# shuffle's prefetch ring and the cyclic walk index; the rest of
+# ubench_test is slow under ASan and runs in the Release ctest above).
 cmake -B build-asan -S . -DP8_SANITIZE=address
 cmake --build build-asan -j --target sim_counters_test sweep_test trace_test \
   machine_predict_test serve_test ubench_test sim_probe_test

@@ -150,7 +150,15 @@ class SetAssocCache {
   /// issuing the hint while earlier levels are still being searched
   /// overlaps those misses.  Purely a performance hint — no simulator
   /// state is read or written.
-  void prefetch_set(std::uint64_t addr) const {
+  ///
+  /// Must stay force-inlined.  GCC models `__builtin_prefetch` as free
+  /// of side effects, so an out-of-line copy of this function is
+  /// "looping pure"; under -ffinite-loops (C++ default at -O2 and
+  /// above) it is plain pure, and a call to a pure `void` function is
+  /// dead code — every hint vanished that way.  Inlined, the
+  /// prefetches are part of the caller and survive.  The ctest
+  /// HostPrefetch.EmittedInReleaseObjects checks the objects.
+  [[gnu::always_inline]] void prefetch_set(std::uint64_t addr) const {
     const std::uint64_t base = set_of(addr) * ways_;
     // A way scan walks the whole set, so hint every host line the
     // set's entry row spans (16-byte entries, 64-byte host lines).

@@ -136,7 +136,9 @@ class ChipMemoryModel {
   /// whose backing arrays exceed the host cache (local L3, victim
   /// pool, L4).  Issued ahead of the dependent walk so the way scans
   /// find their arrays resident.  No simulator state changes.
-  void prefetch_sets(std::uint64_t addr) const {
+  /// Force-inlined for the reason prefetch_set is: an out-of-line
+  /// copy is pure to GCC, and its calls are deleted as dead code.
+  [[gnu::always_inline]] void prefetch_sets(std::uint64_t addr) const {
     l3_.prefetch_set(addr);
     if (config_.victim_l3) l3_victim_.prefetch_set(addr);
     if (config_.l4_enabled) l4_.prefetch_set(addr);

@@ -46,10 +46,6 @@ AccessTiming LatencyProbe::access(std::uint64_t addr) {
   // only changes through launch()/erase_found() below.
   const double* completion =
       engine_.enabled() ? inflight_.find(line) : nullptr;
-  // Start pulling the big levels' set arrays toward the host core
-  // while the ERAT/TLB scan runs — the walk below reads them serially
-  // and would otherwise stall on each level in turn.
-  memory_.prefetch_sets(line);
   double latency = tlb_.access_penalty_ns(addr);
 
   if (completion) {
@@ -101,8 +97,7 @@ void LatencyProbe::access_batch(std::span<const std::uint64_t> addrs,
   // only pay when the walk leaves the L1 and scans those arrays, so
   // they follow L1-missing accesses only (a unit-stride scan with the
   // prefetcher on stays in the L1 and would pay ~6 host prefetches
-  // per access for set arrays it never reads).  GCC 12 at -O3 drops
-  // the hints today; see docs/PERF.md.
+  // per access for set arrays it never reads).
   constexpr std::size_t kLookahead = 8;
   const std::size_t n = addrs.size();
   for (std::size_t i = 0; i < n; ++i) {

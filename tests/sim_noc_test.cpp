@@ -21,6 +21,11 @@ struct LatRow {
   double paper_ns;
 };
 
+// Print the row by chip: gtest's default byte dump would take in the
+// struct's padding, so the test names would change from one build to
+// the next.
+void PrintTo(const LatRow& row, std::ostream* os) { *os << "chip" << row.chip; }
+
 class TableIVLatency : public ::testing::TestWithParam<LatRow> {};
 
 TEST_P(TableIVLatency, WithinTenPercent) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "arch/spec.hpp"
 #include "common/units.hpp"
@@ -291,6 +292,28 @@ TEST(ProbeBatchProperty, BatchEqualsAccessLoop) {
     EXPECT_EQ(batch.stats().l1_fast_hits, loop.stats.l1_fast_hits);
     EXPECT_EQ(batch.stats().prefetched_hits, loop.stats.prefetched_hits);
     EXPECT_EQ(batch.stats().busy_ns, loop.stats.busy_ns);
+  }
+}
+
+// After every L1-missing access the look-ahead reads the address 8
+// ahead.  Each batch below is a vector holding exactly n DRAM-missing
+// addresses, so under AddressSanitizer a read past the last one lands
+// in the allocation's redzone.
+TEST(ProbeBatch, LookaheadStaysInsideTheChunk) {
+  for (std::size_t n = 1; n <= 17; ++n) {
+    std::vector<std::uint64_t> addrs(n);
+    for (std::size_t i = 0; i < n; ++i) addrs[i] = i * mib(1);
+    LatencyProbe loop(base_config());
+    for (const std::uint64_t addr : addrs)
+      ASSERT_EQ(loop.access(addr).level, ServiceLevel::kDram) << "n=" << n;
+    LatencyProbe batch(base_config());
+    BatchStats stats;
+    batch.access_batch(addrs, stats);
+    EXPECT_EQ(batch.now_ns(), loop.now_ns()) << "n=" << n;
+    EXPECT_EQ(stats.accesses, n);
+    EXPECT_EQ(stats.l1_fast_hits, 0u);
+    EXPECT_EQ(stats.prefetched_hits, 0u);
+    EXPECT_EQ(stats.busy_ns, loop.now_ns());
   }
 }
 

@@ -1,6 +1,7 @@
 // Ablation: Schwarz screening tolerance (paper §V-C uses 1e-10).
 // Sweeps the tolerance and reports surviving ERIs, HF-Mem storage, and
 // the energy drift relative to the tightest setting.
+#include <climits>
 #include <cmath>
 #include <cstdio>
 
@@ -13,15 +14,16 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int carbons = static_cast<int>(args.get_int("carbons", 6, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
+  const auto carbons =
+      bench::bounded_int_arg(args, "carbons", 6, 1, INT_MAX, "alkane length");
+  const auto threads = bench::threads_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!carbons || !threads) return 2;
 
   bench::print_header("Ablation", "Schwarz screening tolerance sweep");
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
-  hf::ScfSolver solver(hf::alkane(carbons), pool);
+  common::ThreadPool pool(bench::pool_threads(*threads));
+  hf::ScfSolver solver(hf::alkane(static_cast<int>(*carbons)), pool);
 
   // Tightest run is the reference energy.
   hf::ScfOptions reference;

@@ -17,18 +17,21 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int scale = static_cast<int>(args.get_int("scale", 13, ""));
-  const int workers = static_cast<int>(args.get_int("workers", 8, ""));
+  const auto scale =
+      bench::bounded_int_arg(args, "scale", 13, 1, 30, "R-MAT scale");
+  const auto workers =
+      bench::bounded_int_arg(args, "workers", 8, 1, 4096, "pool workers");
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!scale || !workers) return 2;
 
   bench::print_header(
       "Ablation", "static vs dynamic scheduling of the Jaccard SpGEMM");
 
   graph::RmatOptions opt;
-  opt.scale = scale;
+  opt.scale = static_cast<int>(*scale);
   opt.edge_factor = 16;
   const graph::Graph g = graph::rmat_graph(opt);
-  common::ThreadPool pool(static_cast<std::size_t>(workers));
+  common::ThreadPool pool(static_cast<std::size_t>(*workers));
 
   common::TextTable t({"Schedule", "chunk", "pairs evaluated",
                        "largest task vs even share", "time (s)"});

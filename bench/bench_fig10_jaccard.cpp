@@ -18,20 +18,22 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int min_scale = static_cast<int>(args.get_int("min-scale", 12, ""));
-  const int max_scale = static_cast<int>(args.get_int("max-scale", 16, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()),
-      "worker threads (paper: one per core)"));
+  const auto min_scale =
+      bench::bounded_int_arg(args, "min-scale", 12, 1, 30, "first R-MAT scale");
+  const auto max_scale =
+      bench::bounded_int_arg(args, "max-scale", 16, 1, 30, "last R-MAT scale");
+  const auto threads = bench::threads_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!min_scale || !max_scale || !threads) return 2;
 
   bench::print_header("Figure 10",
                       "all-pairs Jaccard similarity on R-MAT graphs");
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
   common::TextTable t({"Scale", "Vertices", "Edges", "Input", "Output pairs",
                        "Output size", "Out/In", "Time (s)"});
-  for (int scale = min_scale; scale <= max_scale; ++scale) {
+  for (int scale = static_cast<int>(*min_scale); scale <= *max_scale;
+       ++scale) {
     graph::RmatOptions opt;
     opt.scale = scale;
     opt.edge_factor = 16;  // the paper's average degree

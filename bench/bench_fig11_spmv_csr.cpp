@@ -1,5 +1,6 @@
 // Regenerates Figure 11: CSR SpMV performance across the
 // UF-collection-style matrix suite, with Dense as the achievable peak.
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -16,15 +17,16 @@ int main(int argc, char** argv) {
   common::ArgParser args(argc, argv);
   const double size_factor =
       args.get_double("size-factor", 1.0, "matrix dimension scale");
-  const int reps = static_cast<int>(args.get_int("reps", 5, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
+  const auto reps =
+      bench::bounded_int_arg(args, "reps", 5, 1, INT_MAX, "timed repetitions");
+  const auto threads = bench::threads_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!reps || !threads) return 2;
 
   bench::print_header("Figure 11",
                       "CSR SpMV on the UF-style suite (synthetic stand-ins)");
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
   const auto suite = graph::figure11_suite(size_factor);
 
   common::TextTable t({"Matrix", "Rows", "nnz", "nnz/row", "GFLOP/s",
@@ -40,9 +42,9 @@ int main(int argc, char** argv) {
 
     spmv::spmv(m, x, y, pool, plan);  // warm
     common::Timer timer;
-    for (int r = 0; r < reps; ++r) spmv::spmv(m, x, y, pool, plan);
+    for (int r = 0; r < *reps; ++r) spmv::spmv(m, x, y, pool, plan);
     const double gflops =
-        spmv::spmv_flops(m) * reps / timer.seconds() / 1e9;
+        spmv::spmv_flops(m) * *reps / timer.seconds() / 1e9;
     if (entry.name == "Dense") dense_gflops = gflops;
 
     t.add_row({entry.name, std::to_string(m.rows()),

@@ -5,6 +5,7 @@
 // 68 G edges) on 8 TB; this host sweeps scales 12..18 by default.  The
 // shapes: the tiled algorithm beats CSR on scale-free inputs, and its
 // performance decays as the mean tile population shrinks with scale.
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -19,19 +20,23 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int min_scale = static_cast<int>(args.get_int("min-scale", 12, ""));
-  const int max_scale = static_cast<int>(args.get_int("max-scale", 18, ""));
-  const int reps = static_cast<int>(args.get_int("reps", 3, ""));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
+  const auto min_scale =
+      bench::bounded_int_arg(args, "min-scale", 12, 1, 30, "first R-MAT scale");
+  const auto max_scale =
+      bench::bounded_int_arg(args, "max-scale", 18, 1, 30, "last R-MAT scale");
+  const auto reps =
+      bench::bounded_int_arg(args, "reps", 3, 1, INT_MAX, "timed repetitions");
+  const auto threads = bench::threads_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!min_scale || !max_scale || !reps || !threads) return 2;
 
   bench::print_header("Figure 12", "graph SpMV on R-MAT adjacency matrices");
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
   common::TextTable t({"Scale", "nnz", "Tiled GFLOP/s", "CSR GFLOP/s",
                        "Tiled/CSR", "mean tile nnz"});
-  for (int scale = min_scale; scale <= max_scale; ++scale) {
+  for (int scale = static_cast<int>(*min_scale); scale <= *max_scale;
+       ++scale) {
     graph::RmatOptions opt;
     opt.scale = scale;
     opt.edge_factor = 16;
@@ -48,16 +53,16 @@ int main(int argc, char** argv) {
     spmv::TiledSpmv tiled(a, topt);
     tiled.execute(x, y, pool);  // warm
     common::Timer tt;
-    for (int r = 0; r < reps; ++r) tiled.execute(x, y, pool);
+    for (int r = 0; r < *reps; ++r) tiled.execute(x, y, pool);
     const double tiled_gflops =
-        2.0 * static_cast<double>(a.nnz()) * reps / tt.seconds() / 1e9;
+        2.0 * static_cast<double>(a.nnz()) * *reps / tt.seconds() / 1e9;
 
     const spmv::CsrSpmvPlan plan(a, pool.size());
     spmv::spmv(a, x, y, pool, plan);  // warm
     common::Timer tc;
-    for (int r = 0; r < reps; ++r) spmv::spmv(a, x, y, pool, plan);
+    for (int r = 0; r < *reps; ++r) spmv::spmv(a, x, y, pool, plan);
     const double csr_gflops =
-        2.0 * static_cast<double>(a.nnz()) * reps / tc.seconds() / 1e9;
+        2.0 * static_cast<double>(a.nnz()) * *reps / tc.seconds() / 1e9;
 
     t.add_row({std::to_string(scale), std::to_string(a.nnz()),
                common::fmt_num(tiled_gflops, 2),

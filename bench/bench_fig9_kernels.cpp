@@ -22,14 +22,14 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
+  const auto threads = bench::threads_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!threads) return 2;
 
   bench::print_header("Figure 9 (measured kernels)",
                       "native kernel runs placed on the E870 roofline");
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
   const auto roofline = roofline::RooflineModel::from_spec(arch::e870());
 
   common::TextTable t({"Kernel", "measured OI", "host GFLOP/s",

@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
               {lat, bw, mix, noc});
   }
 
-  common::ThreadPool pool(threads ? threads : common::default_thread_count());
+  common::ThreadPool pool(bench::pool_threads(threads));
   common::TaskEngine engine(pool);
   engine.run(graph);
 

@@ -229,8 +229,7 @@ MachineServe run_machine(const std::string& selector,
 
   // Ground truth through a direct router — the same two-tier stack,
   // no daemon, no cache.
-  common::ThreadPool pool(threads == 0 ? common::default_thread_count()
-                                       : threads);
+  common::ThreadPool pool(bench::pool_threads(threads));
   predict::QueryRouter router(spec, pool);
 
   // ---- duplicate-heavy profile -----------------------------------------

@@ -19,13 +19,13 @@ int main(int argc, char** argv) {
   common::ArgParser args(argc, argv);
   const double tol =
       args.get_double("screen-tol", 1e-10, "Schwarz screening tolerance");
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
+  const auto threads = bench::threads_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!threads) return 2;
 
   bench::print_header("Table V", "test molecular systems (host-scaled)");
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
   // Spatially extended systems, so Schwarz screening has far pairs to
   // drop — the paper's molecules span hundreds of atoms.
   const hf::Molecule molecules[] = {

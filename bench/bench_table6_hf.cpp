@@ -13,14 +13,14 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
+  const auto threads = bench::threads_arg(args);
   const double size = args.get_double("size-factor", 1.0, "molecule scale");
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!threads) return 2;
 
   bench::print_header("Table VI", "HF-Comp vs HF-Mem timings (seconds)");
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
   const hf::Molecule molecules[] = {
       hf::alkane(static_cast<int>(8 * size)),
       hf::graphene(static_cast<int>(4 * size)),

@@ -14,6 +14,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "common/threading.hpp"
 #include "sim/audit.hpp"
 #include "sim/counters.hpp"
 #include "sim/machine/machine.hpp"
@@ -67,28 +68,12 @@ inline bool write_counters(const sim::CounterRegistry& registry,
   return true;
 }
 
-/// Declares the shared `--threads` flag: how many workers the bench's
-/// sweep pool / task engine uses, 0 (the default) meaning one per
-/// hardware thread.  Out-of-range values (negative, or past a sanity
-/// cap no real pool wants) print a diagnostic and return nullopt —
-/// callers turn that into exit code 2, the same loud-failure path a
-/// misspelled option takes (and `--thread=` itself lands in
-/// finish_args' did-you-mean hint because the flag is declared here).
-inline std::optional<std::size_t> threads_arg(common::ArgParser& args) {
-  const std::int64_t raw = args.get_int(
-      "threads", 0, "task-engine workers (0 = one per hardware thread)");
-  if (raw >= 0 && raw <= 4096) return static_cast<std::size_t>(raw);
-  std::fprintf(stderr,
-               "error: --threads must be between 0 and 4096, got %lld\n",
-               static_cast<long long>(raw));
-  return std::nullopt;
-}
-
-/// Declares an integer flag validated the way threads_arg validates
-/// `--threads`: a value that fails to parse ("10x", "abc") or falls
-/// outside [lo, hi] prints a diagnostic and returns nullopt — callers
-/// turn that into exit code 2 instead of crashing on an uncaught
-/// std::invalid_argument or silently running a nonsense configuration.
+/// Declares a validated integer flag: a value that fails to parse
+/// ("10x", "abc") or falls outside [lo, hi] prints a diagnostic and
+/// returns nullopt — callers turn that into exit code 2, the same
+/// loud-failure path a misspelled option takes, instead of crashing on
+/// an uncaught std::invalid_argument or silently running a nonsense
+/// configuration.
 inline std::optional<std::int64_t> bounded_int_arg(common::ArgParser& args,
                                                    const std::string& name,
                                                    std::int64_t def,
@@ -110,6 +95,25 @@ inline std::optional<std::int64_t> bounded_int_arg(common::ArgParser& args,
     return std::nullopt;
   }
   return raw;
+}
+
+/// Declares the shared `--threads` flag: how many workers the bench's
+/// sweep pool / task engine uses, 0 (the default) meaning one per
+/// hardware thread.  Validated like every bounded_int_arg (and
+/// `--thread=` itself lands in finish_args' did-you-mean hint because
+/// the flag is declared here); 4096 is a sanity cap no real pool wants.
+inline std::optional<std::size_t> threads_arg(common::ArgParser& args) {
+  const auto raw = bounded_int_arg(
+      args, "threads", 0, 0, 4096,
+      "task-engine workers (0 = one per hardware thread)");
+  if (!raw) return std::nullopt;
+  return static_cast<std::size_t>(*raw);
+}
+
+/// The pool size a `--threads` value asks for: 0 means one worker per
+/// hardware thread.
+inline std::size_t pool_threads(std::size_t threads) {
+  return threads != 0 ? threads : common::default_thread_count();
 }
 
 /// Declares the shared `--task-json` flag: where to dump the task

@@ -25,7 +25,8 @@ cmake --build build -j
 # Perf smoke: small Fig. 2 sweep + hot-path throughput + the
 # heterogeneous task-engine graph; fails if any parallel run is not
 # bit-identical to its sequential reference.  Dumps the task-engine
-# timeline so the gate below can schema-check the artifact.
+# timeline (its schema is pinned by taskgraph_test's
+# TaskGraph.TimelineJsonMatchesSchema).
 perf_smoke() {
   ./build/bench/bench_perf_simcore --max-mb 16 --accesses $((1 << 20)) \
     --json build/BENCH_perf_simcore_smoke.json \
@@ -69,25 +70,6 @@ elif [ "$gate_status" -ne 0 ]; then
 fi
 echo "perf baseline: checksum and throughput OK"
 
-# Task-timeline artifact: must parse and carry the schema the plotting
-# recipe in docs/EXPERIMENTS.md consumes — one record per task, spans
-# ordered within each record, every worker id inside range.
-python3 - build/task_timeline_smoke.json <<'EOF'
-import json, sys
-t = json.load(open(sys.argv[1]))
-for key in ("bench", "workers", "tasks", "steals", "wall_s", "timeline"):
-    assert key in t, "missing key: %s" % key
-assert t["tasks"] == len(t["timeline"]), "tasks != len(timeline)"
-for rec in t["timeline"]:
-    for key in ("name", "worker", "start_s", "end_s", "stolen", "cancelled"):
-        assert key in rec, "missing record key: %s" % key
-    assert 0 <= rec["worker"] < t["workers"], "worker id out of range"
-    assert rec["start_s"] <= rec["end_s"], "negative task span"
-    assert not rec["cancelled"], "cancelled task in a clean run"
-print("task timeline: schema OK (%d tasks, %d steals)"
-      % (t["tasks"], t["steals"]))
-EOF
-
 # Trace record/replay gate: a workload recorded to the binary trace
 # format and replayed out-of-core must match the in-memory run bit for
 # bit — same clock, same stats, same counter file.
@@ -130,7 +112,8 @@ EOF
 # R:W=2:1 peak among the Table III mixes, inter > intra-group latency)
 # must hold on every registry preset, not just the calibrated e870.
 ./build/bench/bench_scaling_matrix --machines=all \
-  --json build/BENCH_scaling_matrix.json
+  --json build/BENCH_scaling_matrix.json \
+  --task-json build/task_timeline_matrix.json
 
 # Baseline drift: a fresh --json run must match the checked-in
 # BENCH_fidelity.json bit for bit.
@@ -207,7 +190,7 @@ echo "serve smoke: clean shutdown, no leaked socket"
 # parallel sweep engine (the two places this repo shares registry
 # slots and fans work across threads), the trace codec — the
 # corrupted-file rejection matrix must hold with ASan watching the
-# varint decoder and the mmap path — the predictor suite (the
+# varint decoder — the predictor suite (the
 # router fans fallbacks across the sweep engine) — the serving
 # suite (socket framing, the single-flight cache, per-connection
 # threads: the daemon's buffer handling with ASan watching the

@@ -47,9 +47,9 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
         for (const std::uint32_t j : ws.touched) {
           const double v = ws.accumulator[j];
           ws.accumulator[j] = 0.0;
-          // Exact zeros from cancellation are also dropped; an SPA
-          // cannot tell them from never-touched slots anyway.
-          if (std::abs(v) > options.drop_tolerance && v != 0.0)
+          // Exact zeros from cancellation are dropped (as are NaNs); an
+          // SPA cannot tell zeros from never-touched slots anyway.
+          if (std::abs(v) > 0.0)
             ws.out.push_back({i, j, v});
         }
         ws.touched.clear();

@@ -14,8 +14,6 @@ namespace p8::graph {
 struct SpgemmOptions {
   /// Rows per dynamically scheduled task.
   std::uint32_t row_chunk = 128;
-  /// Entries with |value| <= drop_tolerance are not emitted.
-  double drop_tolerance = 0.0;
 };
 
 /// C = A * B.  Requires a.cols() == b.rows().

@@ -57,7 +57,7 @@ Result all_pairs(const graph::Graph& g, common::ThreadPool& pool,
         // adjacency into the SPA.
         for (const std::uint32_t mid : g.neighbors(i)) {
           for (const std::uint32_t j : g.neighbors(mid)) {
-            if (options.upper_only && j <= i) continue;
+            if (j <= i) continue;
             if (ws.counts[j]++ == 0) ws.touched.push_back(j);
           }
         }

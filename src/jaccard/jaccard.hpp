@@ -23,8 +23,6 @@ double pair_similarity(const graph::Graph& g, std::uint32_t i,
                        std::uint32_t j);
 
 struct Options {
-  /// Emit only i < j pairs (the similarity matrix is symmetric).
-  bool upper_only = true;
   /// Rows per dynamically scheduled task.
   std::uint32_t row_chunk = 256;
   /// Drop pairs with similarity below this threshold (0 keeps all).
@@ -37,7 +35,9 @@ struct Options {
 };
 
 struct Result {
-  /// similarities(i, j) = J(i, j) for pairs with a common neighbor.
+  /// similarities(i, j) = J(i, j) for i < j pairs with a common
+  /// neighbor (the matrix is symmetric; only its upper triangle is
+  /// stored).
   graph::CsrMatrix similarities;
   /// Bytes of the result matrix — the Figure 10 memory-footprint
   /// series.

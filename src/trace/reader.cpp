@@ -1,7 +1,5 @@
 #include "trace/reader.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -28,25 +26,20 @@ std::int64_t unzigzag(std::uint64_t v) {
 
 }  // namespace
 
-TraceReader::TraceReader(const std::string& path, const Options& options)
-    : path_(path) {
+TraceReader::TraceReader(const std::string& path) : path_(path) {
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr)
     throw TraceError(path, std::string("cannot open: ") + std::strerror(errno),
                      0);
   try {
-    load_and_validate(options);
+    load_and_validate();
   } catch (...) {
-    if (map_ != nullptr) ::munmap(map_, map_len_);
     std::fclose(file_);
     throw;
   }
 }
 
-TraceReader::~TraceReader() {
-  if (map_ != nullptr) ::munmap(map_, map_len_);
-  if (file_ != nullptr) std::fclose(file_);
-}
+TraceReader::~TraceReader() { std::fclose(file_); }
 
 void TraceReader::fail(const std::string& reason,
                        std::uint64_t byte_offset) const {
@@ -57,18 +50,13 @@ void TraceReader::read_span(std::uint64_t offset, std::size_t len,
                             std::vector<unsigned char>& out) {
   out.resize(len);
   if (len == 0) return;
-  if (map_ != nullptr) {
-    std::memcpy(out.data(), static_cast<const unsigned char*>(map_) + offset,
-                len);
-    return;
-  }
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0)
     fail(std::string("seek failed: ") + std::strerror(errno), offset);
   if (std::fread(out.data(), 1, len, file_) != len)
     fail("unexpected end of file", offset);
 }
 
-void TraceReader::load_and_validate(const Options& options) {
+void TraceReader::load_and_validate() {
   if (std::fseek(file_, 0, SEEK_END) != 0)
     fail(std::string("seek failed: ") + std::strerror(errno), 0);
   const long end = std::ftell(file_);
@@ -77,15 +65,6 @@ void TraceReader::load_and_validate(const Options& options) {
 
   if (file_bytes_ < kHeaderBytes + kFooterBytes)
     fail("file truncated: smaller than header + footer", file_bytes_);
-
-  if (options.use_mmap) {
-    void* m = ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE,
-                     ::fileno(file_), 0);
-    if (m == MAP_FAILED)
-      fail(std::string("mmap failed: ") + std::strerror(errno), 0);
-    map_ = m;
-    map_len_ = file_bytes_;
-  }
 
   std::vector<unsigned char> buf;
 
@@ -175,32 +154,23 @@ void TraceReader::load_and_validate(const Options& options) {
              " does not match header total " + std::to_string(total_accesses_),
          24);
 
-  if (options.verify_checksum) {
-    // The checksum covers chunks + directory (the header is excluded:
-    // its totals are patched after the writer seals the sum).
-    std::uint64_t h = kFnvOffset;
-    if (map_ != nullptr) {
-      h = fnv1a(static_cast<const unsigned char*>(map_) + kHeaderBytes,
-                footer_at - kHeaderBytes, h);
-    } else {
-      if (std::fseek(file_, static_cast<long>(kHeaderBytes), SEEK_SET) != 0)
-        fail(std::string("seek failed: ") + std::strerror(errno), kHeaderBytes);
-      std::vector<unsigned char> block(1u << 16);
-      std::uint64_t left = footer_at - kHeaderBytes;
-      while (left > 0) {
-        const std::size_t want =
-            static_cast<std::size_t>(std::min<std::uint64_t>(left,
-                                                             block.size()));
-        if (std::fread(block.data(), 1, want, file_) != want)
-          fail("unexpected end of file while checksumming",
-               footer_at - left);
-        h = fnv1a(block.data(), want, h);
-        left -= want;
-      }
-    }
-    if (h != footer_checksum)
-      fail("footer checksum mismatch: file is corrupt", footer_at + 16);
+  // The checksum covers chunks + directory (the header is excluded:
+  // its totals are patched after the writer seals the sum).
+  if (std::fseek(file_, static_cast<long>(kHeaderBytes), SEEK_SET) != 0)
+    fail(std::string("seek failed: ") + std::strerror(errno), kHeaderBytes);
+  std::vector<unsigned char> block(1u << 16);
+  std::uint64_t h = kFnvOffset;
+  std::uint64_t left = footer_at - kHeaderBytes;
+  while (left > 0) {
+    const std::size_t want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(left, block.size()));
+    if (std::fread(block.data(), 1, want, file_) != want)
+      fail("unexpected end of file while checksumming", footer_at - left);
+    h = fnv1a(block.data(), want, h);
+    left -= want;
   }
+  if (h != footer_checksum)
+    fail("footer checksum mismatch: file is corrupt", footer_at + 16);
 }
 
 bool TraceReader::next_chunk(std::vector<TraceRecord>& out) {
@@ -209,13 +179,8 @@ bool TraceReader::next_chunk(std::vector<TraceRecord>& out) {
   const DirEntry& d = dir_[next_chunk_];
   ++next_chunk_;
 
-  const unsigned char* p;
-  if (map_ != nullptr) {
-    p = static_cast<const unsigned char*>(map_) + d.offset;
-  } else {
-    read_span(d.offset, static_cast<std::size_t>(d.byte_len), chunk_buf_);
-    p = chunk_buf_.data();
-  }
+  read_span(d.offset, static_cast<std::size_t>(d.byte_len), chunk_buf_);
+  const unsigned char* p = chunk_buf_.data();
   const std::size_t len = static_cast<std::size_t>(d.byte_len);
   std::size_t pos = 0;
 

@@ -17,23 +17,12 @@
 
 namespace p8::trace {
 
-struct ReaderOptions {
-  /// Fold the chunk/directory bytes and compare against the footer
-  /// checksum at open.  Costs one sequential pass over the file.
-  bool verify_checksum = true;
-  /// Map the file instead of buffered reads.  Decoding is identical;
-  /// the kernel pages chunks in and out on demand.
-  bool use_mmap = false;
-};
-
 class TraceReader final {
  public:
-  using Options = ReaderOptions;
-
-  /// Opens and fully validates `path`.  Throws TraceError on any
+  /// Opens and fully validates `path`, including one sequential pass
+  /// that checks the footer checksum.  Throws TraceError on any
   /// structural defect.
-  explicit TraceReader(const std::string& path,
-                       const Options& options = Options());
+  explicit TraceReader(const std::string& path);
   ~TraceReader();
 
   TraceReader(const TraceReader&) = delete;
@@ -62,7 +51,7 @@ class TraceReader final {
     std::uint64_t byte_len = 0;  ///< derived: next offset - offset
   };
 
-  void load_and_validate(const Options& options);
+  void load_and_validate();
   /// Reads [offset, offset+len) of the file into `out`.
   void read_span(std::uint64_t offset, std::size_t len,
                  std::vector<unsigned char>& out);
@@ -71,8 +60,6 @@ class TraceReader final {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  void* map_ = nullptr;       ///< mmap base when use_mmap
-  std::size_t map_len_ = 0;
   std::uint64_t file_bytes_ = 0;
   std::uint32_t chunk_records_ = 0;
   std::uint64_t total_records_ = 0;

@@ -10,9 +10,7 @@
 //    delta predictor resets at each chunk start) and the directory
 //    carries per-chunk byte offsets and record counts, so a reader
 //    needs exactly one chunk's bytes and one chunk's decoded records
-//    in memory at a time.  The absolute offsets also make the format
-//    mmap-able — `TraceReader` can map the file instead of buffering
-//    it (see `Options::use_mmap`).
+//    in memory at a time.
 //
 //  * Compactness.  Access patterns are overwhelmingly local, so
 //    addresses are stored as zigzag-encoded deltas from the previous

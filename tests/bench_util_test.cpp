@@ -140,6 +140,13 @@ TEST(ThreadsArg, RejectsOutOfRangeValues) {
   }
 }
 
+TEST(ThreadsArg, RejectsUnparsableValues) {
+  for (const char* flag : {"--threads=abc", "--threads=4x", "--threads="}) {
+    common::ArgParser args = make_args({flag});
+    EXPECT_FALSE(bench::threads_arg(args).has_value()) << flag;
+  }
+}
+
 TEST(TaskTimeline, EmptyPathIsANoOpSuccess) {
   EXPECT_TRUE(bench::write_task_timeline("{}", ""));
 }

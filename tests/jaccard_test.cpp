@@ -3,11 +3,9 @@
 
 #include <map>
 
-#include "common/stats.hpp"
 #include "graph/rmat.hpp"
 #include "graph/spgemm.hpp"
 #include "jaccard/jaccard.hpp"
-#include "jaccard/minhash.hpp"
 
 namespace p8::jaccard {
 namespace {
@@ -220,120 +218,6 @@ TEST(AllPairs, StaticScheduleSameResultWorseBalance) {
   EXPECT_GT(b.max_task_share, 2.0 * a.max_task_share);
   EXPECT_LT(a.max_task_share, 1.0);
   EXPECT_GT(b.max_task_share, 1.0);
-}
-
-// ---------------------------------------------------------------- minhash --
-
-TEST(MinHash, IdenticalSetsAgreeEverywhere) {
-  // Two leaves of a star share exactly the hub: J = 1, so every
-  // signature position must collide.
-  const auto g = star(6);
-  common::ThreadPool pool(2);
-  const MinHash mh(64);
-  const auto sig = mh.signatures(g, pool);
-  const std::span<const std::uint64_t> s(sig);
-  EXPECT_DOUBLE_EQ(
-      MinHash::estimate(s.subspan(1 * 64, 64), s.subspan(2 * 64, 64)), 1.0);
-}
-
-TEST(MinHash, DisjointSetsRarelyAgree) {
-  // Two disconnected edges: N(0)={1}, N(2)={3}: J = 0.
-  const auto g = graph::graph_from_edges(
-      4, std::vector<std::pair<std::uint32_t, std::uint32_t>>{{0, 1},
-                                                              {2, 3}});
-  common::ThreadPool pool(2);
-  const MinHash mh(128);
-  const auto sig = mh.signatures(g, pool);
-  const std::span<const std::uint64_t> s(sig);
-  EXPECT_LT(
-      MinHash::estimate(s.subspan(0 * 128, 128), s.subspan(2 * 128, 128)),
-      0.05);
-}
-
-TEST(MinHash, EstimateTracksExactSimilarity) {
-  graph::RmatOptions o;
-  o.scale = 9;
-  o.edge_factor = 10;
-  const auto g = graph::rmat_graph(o);
-  common::ThreadPool pool(2);
-  const MinHash mh(256);
-  const auto sig = mh.signatures(g, pool);
-  const std::span<const std::uint64_t> s(sig);
-  // Sample vertex pairs with meaningful exact similarity and check the
-  // estimator's error (stddev ~ sqrt(J(1-J)/k) ~ 0.03 at k=256).
-  common::RunningStats error;
-  for (std::uint32_t i = 0; i < 60; ++i) {
-    for (std::uint32_t j = i + 1; j < i + 6 && j < g.vertices(); ++j) {
-      if (g.degree(i) == 0 || g.degree(j) == 0) continue;
-      const double exact = pair_similarity(g, i, j);
-      const double approx =
-          MinHash::estimate(s.subspan(i * 256, 256), s.subspan(j * 256, 256));
-      error.add(std::abs(exact - approx));
-    }
-  }
-  EXPECT_LT(error.mean(), 0.05);
-  EXPECT_LT(error.max(), 0.2);
-}
-
-TEST(MinHash, DeterministicBySeed) {
-  const auto g = star(4);
-  common::ThreadPool pool(2);
-  EXPECT_EQ(MinHash(32, 5).signatures(g, pool),
-            MinHash(32, 5).signatures(g, pool));
-  EXPECT_NE(MinHash(32, 5).signatures(g, pool),
-            MinHash(32, 6).signatures(g, pool));
-}
-
-TEST(MinHash, Validation) {
-  EXPECT_THROW(MinHash(0), std::invalid_argument);
-  std::vector<std::uint64_t> a(4);
-  std::vector<std::uint64_t> b(5);
-  EXPECT_THROW(MinHash::estimate(a, b), std::invalid_argument);
-}
-
-TEST(Lsh, FindsHighSimilarityPairs) {
-  // Every pair LSH returns is verified exact; and the recall against
-  // the exact all-pairs result should be high for J >= 0.7.
-  graph::RmatOptions o;
-  o.scale = 9;
-  o.edge_factor = 10;
-  const auto g = graph::rmat_graph(o);
-  common::ThreadPool pool(2);
-
-  Options exact_opts;
-  exact_opts.min_similarity = 0.7;
-  const auto exact = all_pairs(g, pool, exact_opts);
-
-  const MinHash mh(64);
-  LshOptions lsh_opts;
-  lsh_opts.bands = 16;
-  lsh_opts.rows_per_band = 4;
-  lsh_opts.threshold = 0.7;
-  const auto approx = lsh_similar_pairs(g, mh, pool, lsh_opts);
-
-  // Precision is 1.0 by construction (verified); check values.
-  for (const auto& t : approx.pairs) {
-    EXPECT_GE(t.value, 0.7);
-    EXPECT_NEAR(t.value, pair_similarity(g, t.row, t.col), 1e-12);
-  }
-  // Recall: banding with 16 bands of 4 rows catches J=0.7 pairs with
-  // probability 1-(1-0.7^4)^16 ~ 0.99.
-  EXPECT_GE(approx.pairs.size(), exact.similarities.nnz() * 85 / 100);
-  // And it should have looked at far fewer pairs than the full product.
-  const double all_pairs_count =
-      0.5 * static_cast<double>(g.vertices()) *
-      static_cast<double>(g.vertices() - 1);
-  EXPECT_LT(static_cast<double>(approx.candidates), 0.3 * all_pairs_count);
-}
-
-TEST(Lsh, GeometryValidation) {
-  const auto g = star(4);
-  common::ThreadPool pool(2);
-  const MinHash mh(64);
-  LshOptions bad;
-  bad.bands = 10;
-  bad.rows_per_band = 7;  // 70 != 64
-  EXPECT_THROW(lsh_similar_pairs(g, mh, pool, bad), std::invalid_argument);
 }
 
 class JaccardChunks : public ::testing::TestWithParam<std::uint32_t> {};

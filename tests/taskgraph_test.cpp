@@ -229,6 +229,9 @@ TEST(TaskGraph, TimelineJsonMatchesSchema) {
       EXPECT_NE(entry.find(key), nullptr) << key;
     EXPECT_GE(entry.find("end_s")->as_number("end_s"),
               entry.find("start_s")->as_number("start_s"));
+    EXPECT_LT(entry.find("worker")->as_number("worker"),
+              doc.find("workers")->as_number("workers"));
+    EXPECT_FALSE(entry.find("cancelled")->as_bool("cancelled"));
   }
   EXPECT_EQ(timeline->array[0].find("name")->as_string("name"),
             "scan \"quoted\"");

@@ -139,19 +139,14 @@ TEST(TraceRoundTrip, AllOpsSurviveEveryChunkSizeAndReadMode) {
   for (const std::uint32_t chunk_records : {1u, 3u, 1u << 20}) {
     const std::string path = temp_path("roundtrip.p8t");
     write_trace(path, records, chunk_records);
-    for (const bool use_mmap : {false, true}) {
-      ReaderOptions options;
-      options.use_mmap = use_mmap;
-      TraceReader reader(path, options);
-      EXPECT_EQ(reader.total_records(), records.size());
-      EXPECT_EQ(reader.total_accesses(), accesses);
-      EXPECT_EQ(reader.chunk_records(), chunk_records);
-      EXPECT_EQ(read_all(reader), records)
-          << "chunk_records " << chunk_records << " mmap " << use_mmap;
-      // rewind() restarts the stream from chunk 0.
-      reader.rewind();
-      EXPECT_EQ(read_all(reader), records);
-    }
+    TraceReader reader(path);
+    EXPECT_EQ(reader.total_records(), records.size());
+    EXPECT_EQ(reader.total_accesses(), accesses);
+    EXPECT_EQ(reader.chunk_records(), chunk_records);
+    EXPECT_EQ(read_all(reader), records) << "chunk_records " << chunk_records;
+    // rewind() restarts the stream from chunk 0.
+    reader.rewind();
+    EXPECT_EQ(read_all(reader), records);
     std::remove(path.c_str());
   }
 }
@@ -217,13 +212,12 @@ std::vector<unsigned char> valid_trace_bytes() {
 /// Writes `bytes` to a temp file and expects open + full read to fail
 /// with the given reason.  Returns the error's byte offset.
 std::uint64_t expect_rejected(const std::vector<unsigned char>& bytes,
-                              const std::string& reason_substr,
-                              const ReaderOptions& options = ReaderOptions()) {
+                              const std::string& reason_substr) {
   const std::string path = temp_path("corrupt.p8t");
   spit(path, bytes);
   std::uint64_t offset = 0;
   try {
-    TraceReader reader(path, options);
+    TraceReader reader(path);
     std::vector<TraceRecord> chunk;
     while (reader.next_chunk(chunk)) {
     }
@@ -287,6 +281,14 @@ TEST(TraceCorruption, HeaderTotalsAreCrossCheckedAgainstDirectory) {
   expect_rejected(bytes, "does not match header total");
 }
 
+/// Recomputes the footer checksum over the edited chunks + directory,
+/// so only the decoder's own checks stand between the edit and replay.
+void reseal_checksum(std::vector<unsigned char>& bytes) {
+  const std::size_t footer_at = bytes.size() - kFooterBytes;
+  put_u64(bytes.data() + footer_at + 16,
+          fnv1a(bytes.data() + kHeaderBytes, footer_at - kHeaderBytes));
+}
+
 TEST(TraceCorruption, BadFooterMagicIsRejected) {
   std::vector<unsigned char> bytes = valid_trace_bytes();
   bytes.back() ^= 0xff;
@@ -310,16 +312,12 @@ TEST(TraceCorruption, FlippedChunkByteFailsTheChecksum) {
   std::vector<unsigned char> bytes = valid_trace_bytes();
   bytes[kHeaderBytes + 5] ^= 0x40;
   expect_rejected(bytes, "footer checksum mismatch");
-  // Same through the mmap read path.
-  ReaderOptions options;
-  options.use_mmap = true;
-  expect_rejected(bytes, "footer checksum mismatch", options);
 }
 
 TEST(TraceCorruption, InflatedDirectoryRecordCountFailsDecode) {
   // Grow the last chunk's directory record count (the last chunk is
   // partial, so the [1, chunk_records] bound still holds; also bump
-  // the header total so the structural cross-check passes) and skip
+  // the header total so the structural cross-check passes) and re-seal
   // the checksum: the decoder must notice the chunk's bytes run out
   // before the claimed record count is reached.
   std::vector<unsigned char> bytes = valid_trace_bytes();
@@ -332,9 +330,8 @@ TEST(TraceCorruption, InflatedDirectoryRecordCountFailsDecode) {
       static_cast<std::uint32_t>(entry[8]) | (entry[9] << 8);
   put_u32(entry + 8, records + 1);
   put_u64(bytes.data() + 16, get_u64(bytes.data() + 16) + 1);
-  ReaderOptions options;
-  options.verify_checksum = false;
-  expect_rejected(bytes, "truncated varint", options);
+  reseal_checksum(bytes);
+  expect_rejected(bytes, "truncated varint");
 }
 
 TEST(TraceCorruption, ShrunkDirectoryRecordCountLeavesTrailingBytes) {
@@ -349,9 +346,8 @@ TEST(TraceCorruption, ShrunkDirectoryRecordCountLeavesTrailingBytes) {
   put_u32(entry + 12, records - 1);  // all records in chunk 0 are accesses
   put_u64(bytes.data() + 16, get_u64(bytes.data() + 16) - 1);
   put_u64(bytes.data() + 24, get_u64(bytes.data() + 24) - 1);
-  ReaderOptions options;
-  options.verify_checksum = false;
-  expect_rejected(bytes, "trailing bytes", options);
+  reseal_checksum(bytes);
+  expect_rejected(bytes, "trailing bytes");
 }
 
 TEST(TraceCorruption, WrongDirectoryAccessCountFailsDecode) {
@@ -364,9 +360,8 @@ TEST(TraceCorruption, WrongDirectoryAccessCountFailsDecode) {
   ASSERT_GT(accesses, 0u);
   put_u32(entry + 12, accesses - 1);
   put_u64(bytes.data() + 24, get_u64(bytes.data() + 24) - 1);
-  ReaderOptions options;
-  options.verify_checksum = false;
-  expect_rejected(bytes, "accesses but directory claims", options);
+  reseal_checksum(bytes);
+  expect_rejected(bytes, "accesses but directory claims");
 }
 
 TEST(TraceCorruption, UnfinishedTraceIsRejected) {
@@ -432,15 +427,13 @@ ReplayObservation replay_in_memory(const std::vector<TraceRecord>& records,
 /// File-backed replay: write, read back, stream through replay_trace.
 ReplayObservation replay_via_file(const std::vector<TraceRecord>& records,
                                   sim::ProbeOptions options,
-                                  std::uint32_t chunk_records, bool use_mmap) {
+                                  std::uint32_t chunk_records) {
   const std::string path = temp_path("prop.p8t");
   write_trace(path, records, chunk_records);
   sim::CounterRegistry counters;
   options.counters = &counters;
   sim::LatencyProbe probe = machine().probe(options);
-  ReaderOptions reader_options;
-  reader_options.use_mmap = use_mmap;
-  TraceReader reader(path, reader_options);
+  TraceReader reader(path);
   const ReplayResult result = replay_trace(reader, probe);
   EXPECT_EQ(result.records, records.size());
   std::remove(path.c_str());
@@ -518,16 +511,14 @@ TEST(TraceProperty, FileReplayBitIdenticalToInMemoryAtEveryChunkSize) {
     const ReplayObservation reference = replay_in_memory(records, options);
 
     // Chunk size 1, a non-divisor of the stream length, and one far
-    // larger than the stream — with both read modes.
+    // larger than the stream.
     const std::uint32_t sizes[] = {1u, 7u, 1u << 20};
     for (const std::uint32_t chunk_records : sizes) {
-      const bool use_mmap = gen.chance(0.5);
       const ReplayObservation observed =
-          replay_via_file(records, options, chunk_records, use_mmap);
-      expect_same_observation(observed, reference,
-                              "chunk_records " +
-                                  std::to_string(chunk_records) +
-                                  (use_mmap ? " (mmap)" : ""));
+          replay_via_file(records, options, chunk_records);
+      expect_same_observation(
+          observed, reference,
+          "chunk_records " + std::to_string(chunk_records));
     }
   }
 }

@@ -3,7 +3,7 @@
 //
 //   p8serve serve    --socket=PATH [--cache-capacity=N]
 //                    [--machine-capacity=N] [--sim-threads=N]
-//                    [--max-line-bytes=N] [--perturb=X]
+//                    [--max-line-bytes=N]
 //   p8serve query    --socket=PATH --machine=M --kind=K [query options]
 //   p8serve request  --socket=PATH [--line=JSON]   (no --line: stdin)
 //   p8serve stats    --socket=PATH
@@ -18,8 +18,6 @@
 // line over one connection — verbatim and prints the response(s),
 // exiting 0 whenever the transport worked, whatever the daemon said;
 // hostile-input tests and the tier1 smoke cycle are built on it.
-// `--perturb` skews every cached value by X (the bench_serve gate's
-// WILL_FAIL twin uses it to prove the identity check has teeth).
 // Exit codes: 0 ok, 1 daemon/transport error, 2 usage error.
 #include <signal.h>
 
@@ -29,6 +27,7 @@
 #include <string>
 #include <thread>
 
+#include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "serve/client.hpp"
@@ -43,7 +42,7 @@ void usage(std::FILE* to) {
   std::fputs(
       "usage: p8serve <serve|query|request|stats|ping|shutdown> [options]\n"
       "  serve    --socket=PATH [--cache-capacity=N] [--machine-capacity=N]\n"
-      "           [--sim-threads=N] [--max-line-bytes=N] [--perturb=X]\n"
+      "           [--sim-threads=N] [--max-line-bytes=N]\n"
       "  query    --socket=PATH --machine=M --kind=K [--footprint=BYTES]\n"
       "           [--page=BYTES] [--dscr=N] [--pattern=P] [--stride=LINES]\n"
       "           [--consumer-chip=N] [--home-chip=N] [--read=X] "
@@ -94,44 +93,35 @@ int cmd_serve(common::ArgParser& args) {
   options.socket_path = socket_arg(args);
   // Counts are read signed and range-checked before the size_t cast: a
   // negative value must not wrap to SIZE_MAX and unbound an LRU.  The
-  // minimums are the Server's own requirements, reported as usage
-  // errors instead of an uncaught exception.
-  const std::int64_t cache_capacity = args.get_int(
-      "cache-capacity", 1024, "resident simulation results (LRU beyond)");
-  const std::int64_t machine_capacity = args.get_int(
-      "machine-capacity", 4, "distinct machines kept warm (LRU beyond)");
-  const std::int64_t sim_threads = args.get_int(
-      "sim-threads", 0, "simulation pool workers (0 = hardware threads)");
-  const std::int64_t max_line_bytes = args.get_int(
-      "max-line-bytes", 1 << 20, "longest accepted request line");
-  options.debug_value_skew = args.get_double(
-      "perturb", 0.0, "skew every cached value by this much (gate twin)");
+  // minimums are the Server's own requirements; the maximums are far
+  // past any deployment.  Either way the error is a usage error.
+  const auto cache_capacity = bench::bounded_int_arg(
+      args, "cache-capacity", 1024, 1, std::int64_t{1} << 32,
+      "resident simulation results (LRU beyond)");
+  const auto machine_capacity = bench::bounded_int_arg(
+      args, "machine-capacity", 4, 1, std::int64_t{1} << 20,
+      "distinct machines kept warm (LRU beyond)");
+  const auto sim_threads = bench::bounded_int_arg(
+      args, "sim-threads", 0, 0, 4096,
+      "simulation pool workers (0 = hardware threads)");
+  const auto max_line_bytes = bench::bounded_int_arg(
+      args, "max-line-bytes", 1 << 20, 64, std::int64_t{1} << 32,
+      "longest accepted request line");
   const int early = finish_or_usage(args);
   if (early >= 0) return early;
   if (options.socket_path.empty()) {
     std::fputs("error: --socket is required\n", stderr);
     return 2;
   }
-  const struct {
-    const char* name;
-    std::int64_t value;
-    std::int64_t min;
-  } counts[] = {{"cache-capacity", cache_capacity, 1},
-                {"machine-capacity", machine_capacity, 1},
-                {"sim-threads", sim_threads, 0},
-                {"max-line-bytes", max_line_bytes, 64}};
-  for (const auto& count : counts) {
-    if (count.value >= count.min) continue;
-    std::fprintf(stderr, "error: --%s must be >= %lld (got %lld)\n",
-                 count.name, static_cast<long long>(count.min),
-                 static_cast<long long>(count.value));
+  if (!cache_capacity || !machine_capacity || !sim_threads ||
+      !max_line_bytes) {
     usage(stderr);
     return 2;
   }
-  options.cache_capacity = static_cast<std::size_t>(cache_capacity);
-  options.machine_capacity = static_cast<std::size_t>(machine_capacity);
-  options.sim_threads = static_cast<std::size_t>(sim_threads);
-  options.max_line_bytes = static_cast<std::size_t>(max_line_bytes);
+  options.cache_capacity = static_cast<std::size_t>(*cache_capacity);
+  options.machine_capacity = static_cast<std::size_t>(*machine_capacity);
+  options.sim_threads = static_cast<std::size_t>(*sim_threads);
+  options.max_line_bytes = static_cast<std::size_t>(*max_line_bytes);
 
   serve::Server server(options);
   try {

@@ -3,7 +3,7 @@
 //   p8trace record --workload=seq-scan --out=seq.p8t [--machine=e870]
 //                  [--accesses=N] [--chunk-records=N]
 //   p8trace replay --in=seq.p8t --workload=seq-scan [--machine=e870]
-//                  [--counters=path] [--json=path] [--mmap] [--no-verify]
+//                  [--counters=path] [--json=path]
 //   p8trace run    --workload=seq-scan [--machine=e870] [--counters=path]
 //                  [--json=path] [--accesses=N]
 //   p8trace info   --in=seq.p8t [--json=path]
@@ -57,7 +57,7 @@ void usage(std::FILE* to) {
       "  record --workload=W --out=FILE [--machine=M] [--accesses=N]\n"
       "         [--chunk-records=N]\n"
       "  replay --in=FILE --workload=W [--machine=M] [--counters=PATH]\n"
-      "         [--json=PATH] [--mmap] [--no-verify]\n"
+      "         [--json=PATH]\n"
       "  run    --workload=W [--machine=M] [--accesses=N] [--counters=PATH]\n"
       "         [--json=PATH]\n"
       "  info   --in=FILE [--json=PATH]\n"
@@ -194,9 +194,6 @@ int cmd_replay(common::ArgParser& args) {
   const std::string counters_path = bench::counters_path_arg(args);
   const std::string json_path =
       args.get_string("json", "", "machine-readable output file");
-  const bool use_mmap = args.get_flag("mmap", "mmap the trace file");
-  const bool no_verify =
-      args.get_flag("no-verify", "skip the footer checksum pass");
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
   if (in.empty()) {
     std::fputs("error: --in is required\n", stderr);
@@ -213,10 +210,7 @@ int cmd_replay(common::ArgParser& args) {
   if (!counters_path.empty()) probe_options.counters = &registry;
 
   try {
-    trace::ReaderOptions options;
-    options.use_mmap = use_mmap;
-    options.verify_checksum = !no_verify;
-    trace::TraceReader reader(in, options);
+    trace::TraceReader reader(in);
     sim::LatencyProbe probe = machine.probe(probe_options);
     const trace::ReplayResult result = trace::replay_trace(reader, probe);
     return report("replay", machine_sel, w->name, in, result.stats,

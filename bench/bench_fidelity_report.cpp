@@ -23,7 +23,6 @@
 // deviation plus headroom), so a change that moves any headline
 // quantity beyond its historical agreement trips the gate even when
 // it stays inside the loose 10% table verdict.
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -39,24 +38,15 @@
 
 namespace {
 
+/// One report row: the paper artifact and the shared tolerance check
+/// (reference = paper value, value = model value).  `tol` gates
+/// |model/paper - 1|; the table's PASS/WARN stays at the historical
+/// 10% regardless.  `allow_warn` marks a documented deviation
+/// (EXPERIMENTS.md): the gate reports ALLOWED instead of FAIL.
 struct Check {
   std::string artifact;
-  std::string quantity;
-  double paper = 0.0;
-  double model = 0.0;
-  /// Gate tolerance on |model/paper - 1|; the table's PASS/WARN stays
-  /// at the historical 10% regardless.
-  double tol = 0.02;
-  /// Documented deviation (discussed in EXPERIMENTS.md): the gate
-  /// reports ALLOWED instead of FAIL while the deviation persists.
-  bool allow_warn = false;
+  p8::bench::ToleranceCheck check;
 };
-
-const char* gate_status(const Check& c) {
-  const double ratio = c.model / c.paper;
-  if (std::abs(ratio - 1.0) <= c.tol) return "PASS";
-  return c.allow_warn ? "ALLOWED" : "FAIL";
-}
 
 std::string json_num(double v) {
   char buf[40];
@@ -107,7 +97,7 @@ int main(int argc, char** argv) {
   auto add = [&](const std::string& artifact, const std::string& quantity,
                  double paper, double model, double tol,
                  bool allow_warn = false) {
-    checks.push_back({artifact, quantity, paper, model, tol, allow_warn});
+    checks.push_back({artifact, {quantity, paper, model, tol, allow_warn}});
   };
 
   // §II headlines (spec arithmetic: exact).
@@ -217,12 +207,12 @@ int main(int argc, char** argv) {
       {"Artifact", "Quantity", "Paper", "Model", "Model/Paper", "Verdict"});
   int pass = 0;
   int warn = 0;
-  for (const auto& c : checks) {
-    const double ratio = c.model / c.paper;
+  for (const auto& [artifact, c] : checks) {
+    const double ratio = bench::tolerance_ratio(c);
     const bool ok = ratio > 0.9 && ratio < 1.1;
     (ok ? pass : warn) += 1;
-    t.add_row({c.artifact, c.quantity, common::fmt_num(c.paper, 1),
-               common::fmt_num(c.model, 1), common::fmt_num(ratio, 3),
+    t.add_row({artifact, c.quantity, common::fmt_num(c.reference, 1),
+               common::fmt_num(c.value, 1), common::fmt_num(ratio, 3),
                ok ? "PASS" : "WARN"});
   }
   std::printf("%s\n", t.to_string().c_str());
@@ -233,16 +223,16 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::string body = "{\n  \"bench\": \"fidelity\",\n  \"checks\": [";
     bool first = true;
-    for (const auto& c : checks) {
+    for (const auto& [artifact, c] : checks) {
       body += first ? "\n" : ",\n";
       first = false;
-      body += "    {\"artifact\": \"" + c.artifact + "\", \"quantity\": \"" +
-              c.quantity + "\", \"paper\": " + json_num(c.paper) +
-              ", \"model\": " + json_num(c.model) +
-              ", \"ratio\": " + json_num(c.model / c.paper) +
+      body += "    {\"artifact\": \"" + artifact + "\", \"quantity\": \"" +
+              c.quantity + "\", \"paper\": " + json_num(c.reference) +
+              ", \"model\": " + json_num(c.value) +
+              ", \"ratio\": " + json_num(bench::tolerance_ratio(c)) +
               ", \"tol\": " + json_num(c.tol) + ", \"allow_warn\": " +
               (c.allow_warn ? "true" : "false") + ", \"status\": \"" +
-              gate_status(c) + "\"}";
+              bench::tolerance_status(c) + "\"}";
     }
     body += "\n  ]\n}\n";
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -276,12 +266,12 @@ int main(int argc, char** argv) {
     const bool nonzero_ok = accesses > 0;
 
     std::printf("\nGate (per-check tolerances + counter invariants):\n");
-    for (const auto& c : checks) {
-      const std::string status = gate_status(c);
+    for (const auto& [artifact, c] : checks) {
+      const std::string status = bench::tolerance_status(c);
       if (status == "PASS") continue;
       std::printf("  %-7s %s / %s: ratio %.3f vs tol %.2f\n", status.c_str(),
-                  c.artifact.c_str(), c.quantity.c_str(), c.model / c.paper,
-                  c.tol);
+                  artifact.c_str(), c.quantity.c_str(),
+                  bench::tolerance_ratio(c), c.tol);
       if (status == "FAIL") ++failures;
     }
     auto invariant = [&](const char* name, bool ok) {

@@ -14,9 +14,10 @@
 //   stream.dscr<d>       prefetched steady-state scan latency vs
 //                        latency/(depth+1) (tol 5%);
 //   bw.*, noc.*          bandwidth roofs and NoC latency corners: the
-//                        predictor evaluates the simulator's own
-//                        closed forms, so agreement is bit-exact
-//                        (tol 1e-9).
+//                        router answers them with the simulator's own
+//                        models, built from the spec it serves, so the
+//                        rows are exact (tol 1e-9) unless that spec
+//                        differs from the simulator's (--perturb).
 //
 // The QueryRouter is exercised on the same matrix: every landmark
 // query must route analytic (hits) and two deliberately near-boundary

@@ -195,12 +195,15 @@ echo "serve smoke: clean shutdown, no leaked socket"
 # suite (socket framing, the single-flight cache, per-connection
 # threads: the daemon's buffer handling with ASan watching the
 # hostile-frame matrix) — the probe suite (access_batch's chunk
-# replay and its look-ahead reads) — and the chase-chain suite (the
-# shuffle's prefetch ring and the cyclic walk index; the rest of
-# ubench_test is slow under ASan and runs in the Release ctest above).
+# replay and its look-ahead reads) — the topology suite (the min-hop
+# table's index arithmetic and range checks) — and the chase-chain
+# suite (the shuffle's prefetch ring and the cyclic walk index; the
+# rest of ubench_test is slow under ASan and runs in the Release
+# ctest above).
 cmake -B build-asan -S . -DP8_SANITIZE=address
 cmake --build build-asan -j --target sim_counters_test sweep_test trace_test \
-  machine_predict_test serve_test ubench_test sim_probe_test
+  machine_predict_test serve_test ubench_test sim_probe_test arch_test
+./build-asan/tests/arch_test
 ./build-asan/tests/sim_counters_test
 ./build-asan/tests/sweep_test
 ./build-asan/tests/trace_test

@@ -71,6 +71,17 @@ Topology Topology::from_spec(const SystemSpec& spec) {
       add_link(i, g + i, LinkKind::kABus,
                spec.abus_gbs * spec.abus_links_per_pair, kAbusLatencyNs);
   }
+
+  // Shortest-route latency of every chip pair, so each hop-cost read
+  // (latency probes, NoC latency, the predictor) is one lookup.
+  t.min_latency_ns_.assign(static_cast<std::size_t>(t.chips_) * t.chips_, 0.0);
+  for (int src = 0; src < t.chips_; ++src)
+    for (int dst = 0; dst < t.chips_; ++dst) {
+      const std::vector<Route> all = t.routes(src, dst);  // empty if src == dst
+      double best = all.empty() ? 0.0 : t.route_latency_ns(all.front());
+      for (const Route& r : all) best = std::min(best, t.route_latency_ns(r));
+      t.min_latency_ns_[static_cast<std::size_t>(src) * t.chips_ + dst] = best;
+    }
   return t;
 }
 
@@ -149,12 +160,9 @@ double Topology::route_latency_ns(const Route& route) const {
 }
 
 double Topology::min_latency_ns(int src, int dst) const {
-  if (src == dst) return 0.0;
-  const auto all = routes(src, dst);
-  P8_ASSERT(!all.empty(), "no route between distinct chips");
-  double best = route_latency_ns(all.front());
-  for (const Route& r : all) best = std::min(best, route_latency_ns(r));
-  return best;
+  P8_REQUIRE(src >= 0 && src < chips_ && dst >= 0 && dst < chips_,
+             "chip out of range");
+  return min_latency_ns_[static_cast<std::size_t>(src) * chips_ + dst];
 }
 
 }  // namespace p8::arch

@@ -71,7 +71,8 @@ class Topology {
   /// End-to-end latency of a route: sum of hop latencies.
   double route_latency_ns(const Route& route) const;
 
-  /// Latency of the shortest route, 0 for src == dst.
+  /// Latency of the shortest route, 0 for src == dst: one lookup in
+  /// the table from_spec() fills.
   double min_latency_ns(int src, int dst) const;
 
  private:
@@ -79,6 +80,7 @@ class Topology {
   int chips_per_group_ = 0;
   std::vector<Link> links_;
   std::vector<std::vector<int>> link_index_;  // chips x chips -> link id
+  std::vector<double> min_latency_ns_;  // [src * chips + dst]
 };
 
 }  // namespace p8::arch

@@ -4,16 +4,14 @@
 #include <cmath>
 #include <limits>
 
-#include "arch/topology.hpp"
 #include "common/contract.hpp"
-#include "sim/prefetch/engine.hpp"
 
 namespace p8::predict {
 
 Predictor::Predictor(const sim::MachineSpec& spec)
     : spec_(spec),
-      hier_(sim::HierarchyConfig::from_spec(spec.system)),
-      chips_(spec.system.total_chips()) {
+      machine_(spec.machine()),
+      hier_(sim::HierarchyConfig::from_spec(spec.system)) {
   // The Fig. 2 staircase: cumulative capacity of each service level.
   // A level whose capacity does not exceed its parent's (an ablated L4
   // on e870-centaur4, a single-core chip's empty victim pool) adds no
@@ -41,15 +39,6 @@ Predictor::Predictor(const sim::MachineSpec& spec)
        std::numeric_limits<std::uint64_t>::max(), lat.dram_ns);
   P8_ENSURE(level_count_ >= 2 && level_count_ <= levels_.size(),
             "the staircase needs at least one cache level above DRAM");
-
-  // Precompute the chips x chips min-hop cost so noc_latency_ns() is a
-  // single table load.
-  const arch::Topology topology = arch::Topology::from_spec(spec.system);
-  hop_ns_.resize(static_cast<std::size_t>(chips_) * chips_);
-  for (int home = 0; home < chips_; ++home)
-    for (int consumer = 0; consumer < chips_; ++consumer)
-      hop_ns_[static_cast<std::size_t>(home) * chips_ + consumer] =
-          topology.min_latency_ns(home, consumer);
 }
 
 sim::ServiceLevel Predictor::plateau_level(
@@ -88,124 +77,30 @@ double Predictor::chase_latency_ns(std::uint64_t footprint_bytes,
                                    int consumer_chip, int home_chip) const {
   const sim::ServiceLevel level = plateau_level(footprint_bytes);
   double service = service_latency_ns(level);
-  // Off-chip service pays the fabric hops to the homing chip, exactly
-  // where LatencyProbe adds remote_extra_ns.
+  // Off-chip service pays the fabric hops to the homing chip: the
+  // remote_extra_ns Machine::probe charges.
   if (level == sim::ServiceLevel::kL4 || level == sim::ServiceLevel::kDram)
-    service += hop_ns(consumer_chip, home_chip);
+    service += machine_.topology().min_latency_ns(home_chip, consumer_chip);
   return service + tlb_penalty_ns(footprint_bytes, page_bytes);
 }
 
 double Predictor::stream_latency_ns(int dscr, int consumer_chip,
                                     int home_chip) const {
-  sim::PrefetchConfig pf;
-  pf.dscr = dscr;
-  return noc_latency_ns(consumer_chip, home_chip) / (pf.depth_lines() + 1);
-}
-
-double Predictor::stream_gbs(int chips, int cores, int threads,
-                             sim::RwMix mix, int dscr) const {
-  // The same min-of-four-caps MemoryBandwidthModel evaluates, with the
-  // identical operation order so the roofs agree bit for bit.
-  P8_REQUIRE(chips >= 1 && chips <= chips_, "chip count");
-  P8_REQUIRE(cores >= 1 && cores <= spec_.system.cores_per_chip,
-             "core count");
-  P8_REQUIRE(threads >= 1 &&
-                 threads <= spec_.system.processor.core.smt_threads,
-             "thread count");
-  P8_REQUIRE(mix.read >= 0 && mix.write >= 0 && mix.read + mix.write > 0,
-             "mix must have traffic");
-  const sim::MemBandwidthParams& p = spec_.mem;
-  const double fr = mix.read_fraction();
-  const double fw = mix.write_fraction();
-  const double line =
-      static_cast<double>(spec_.system.processor.cache_line_bytes);
-
-  sim::PrefetchConfig pf;
-  pf.dscr = dscr;
-  const int per_thread = 1 + pf.depth_lines();
-  const int per_core = std::min(threads * per_thread, p.core_stream_mlp);
-  const double conc =
-      chips * cores * (per_core * line / p.stream_latency_ns);
-
-  double rlink = std::numeric_limits<double>::infinity();
-  if (fr > 0.0) {
-    const double links =
-        chips * spec_.system.centaurs_per_chip *
-        spec_.system.centaur.read_link_gbs;
-    rlink = links * p.read_link_eff / fr;
-  }
-  double wlink = std::numeric_limits<double>::infinity();
-  if (fw > 0.0) {
-    const double eff = p.write_link_eff - p.turnaround_coeff * 4.0 * fr * fw;
-    const double links =
-        chips * spec_.system.centaurs_per_chip *
-        spec_.system.centaur.write_link_gbs;
-    wlink = links * std::max(eff, 0.05) / fw;
-  }
-  const double fabric = chips * p.chip_fabric_gbs;
-  const double bw = std::min(std::min(conc, rlink), std::min(wlink, fabric));
-  P8_ENSURE(std::isfinite(bw) && bw > 0.0,
-            "the binding cap must yield a finite positive bandwidth");
-  return bw;
-}
-
-double Predictor::system_stream_gbs(sim::RwMix mix) const {
-  return stream_gbs(chips_, spec_.system.cores_per_chip,
-                    spec_.system.processor.core.smt_threads, mix);
-}
-
-double Predictor::random_gbs(int chips, int cores, int threads,
-                             int streams) const {
-  P8_REQUIRE(chips >= 1 && cores >= 1 && threads >= 1 && streams >= 1,
-             "all counts must be positive");
-  const sim::MemBandwidthParams& p = spec_.mem;
-  const double line =
-      static_cast<double>(spec_.system.processor.cache_line_bytes);
-  const int per_core = std::min(threads * streams, p.core_random_mlp);
-  const double raw = chips * cores * per_core * line / p.random_latency_ns;
-  const double cap = chips * p.random_row_cap_gbs;
-  const double bw = cap * (1.0 - std::exp(-raw / cap));
-  P8_ENSURE(bw >= 0.0 && bw <= cap,
-            "interpolated random bandwidth must stay within the row-"
-            "activate service bound");
-  return bw;
-}
-
-double Predictor::noc_latency_ns(int consumer_chip, int home_chip) const {
-  return spec_.noc.local_dram_latency_ns + hop_ns(consumer_chip, home_chip);
-}
-
-double Predictor::hop_ns(int consumer_chip, int home_chip) const {
-  P8_REQUIRE(consumer_chip >= 0 && consumer_chip < chips_,
-             "consumer chip out of range");
-  P8_REQUIRE(home_chip >= 0 && home_chip < chips_, "home chip out of range");
-  return hop_ns_[static_cast<std::size_t>(home_chip) * chips_ +
-                 consumer_chip];
-}
-
-roofline::RooflineModel Predictor::roofline() const {
-  return roofline::RooflineModel::from_sustained(
-      spec_.system, system_stream_gbs(sim::RwMix{2.0, 1.0}),
-      system_stream_gbs(sim::RwMix{0.0, 1.0}));
+  return machine_.noc().memory_latency_prefetched_ns(consumer_chip, home_chip,
+                                                     dscr);
 }
 
 QueryRouter::QueryRouter(const sim::MachineSpec& spec, std::size_t threads)
-    : spec_(spec),
-      predictor_(spec),
-      machine_(spec.system, spec.mem, spec.noc),
-      runner_(threads) {
+    : predictor_(spec), runner_(threads) {
   runner_.set_task_label("predict-fallback");
-  runner_.gate_on_audit(machine_.audit());
+  runner_.gate_on_audit(machine().audit());
 }
 
 QueryRouter::QueryRouter(const sim::MachineSpec& spec,
                          common::ThreadPool& pool)
-    : spec_(spec),
-      predictor_(spec),
-      machine_(spec.system, spec.mem, spec.noc),
-      runner_(pool) {
+    : predictor_(spec), runner_(pool) {
   runner_.set_task_label("predict-fallback");
-  runner_.gate_on_audit(machine_.audit());
+  runner_.gate_on_audit(machine().audit());
 }
 
 bool QueryRouter::analytic_servable(const Query& query) const {
@@ -248,13 +143,15 @@ double QueryRouter::analytic(const Query& query) const {
       return predictor_.stream_latency_ns(query.dscr, query.consumer_chip,
                                           query.home_chip);
     case Query::Kind::kStreamBandwidth:
-      return predictor_.stream_gbs(query.chips, query.cores, query.threads,
-                                   query.mix, query.dscr);
+      return machine().memory().stream_gbs(query.chips, query.cores,
+                                           query.threads, query.mix,
+                                           query.dscr);
     case Query::Kind::kRandomBandwidth:
-      return predictor_.random_gbs(query.chips, query.cores, query.threads,
-                                   query.streams);
+      return machine().memory().random_gbs(query.chips, query.cores,
+                                           query.threads, query.streams);
     case Query::Kind::kNocLatency:
-      return predictor_.noc_latency_ns(query.consumer_chip, query.home_chip);
+      return machine().noc().memory_latency_ns(query.consumer_chip,
+                                               query.home_chip);
   }
   P8_INVARIANT(false, "unreachable: every query kind is dispatched above");
   return 0.0;
@@ -271,25 +168,21 @@ double QueryRouter::simulate(const Query& query) {
       options.stride_lines = query.stride_lines;
       options.consumer_chip = query.consumer_chip;
       options.home_chip = query.home_chip;
-      return ubench::chase_latency_ns(machine_, options);
+      return ubench::chase_latency_ns(machine(), options);
     }
     case Query::Kind::kStreamLatency: {
       ubench::StrideOptions options;
       options.stride_lines = query.stride_lines;
       options.dscr = query.dscr;
       options.page_bytes = query.page_bytes;
-      return ubench::stride_latency_ns(machine_, options);
+      return ubench::stride_latency_ns(machine(), options);
     }
     case Query::Kind::kStreamBandwidth:
-      return machine_.memory().stream_gbs(query.chips, query.cores,
-                                          query.threads, query.mix,
-                                          query.dscr);
     case Query::Kind::kRandomBandwidth:
-      return machine_.memory().random_gbs(query.chips, query.cores,
-                                          query.threads, query.streams);
     case Query::Kind::kNocLatency:
-      return machine_.noc().memory_latency_ns(query.consumer_chip,
-                                              query.home_chip);
+      // Closed forms in both tiers: analytic_servable() routes these to
+      // analytic(), so this case is only a forward.
+      return analytic(query);
   }
   P8_INVARIANT(false, "unreachable: every query kind is dispatched above");
   return 0.0;

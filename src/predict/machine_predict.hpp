@@ -13,14 +13,13 @@
 //    (uniform-reference stack approximation — the exponential-gap
 //    refinement agrees to ~1%), giving the Fig. 2 ERAT spike at
 //    48 x 64 KB = 3 MB and its disappearance on 16 MB pages.
-//  * Bandwidth roofs (Table III, Figs. 3/4).  The simulator's own
-//    bandwidth tier is already analytic (MemoryBandwidthModel); the
-//    predictor evaluates the identical min-of-four-caps and
-//    closed-network forms, so roof queries agree bit for bit.
-//  * NoC latency (Table IV).  Local DRAM latency plus the topology's
-//    min-hop path cost, precomputed into a chips x chips matrix at
-//    construction; the prefetched steady state divides by depth+1
-//    exactly like NocModel.
+//  * Bandwidth roofs (Table III, Figs. 3/4) and NoC latency (Table
+//    IV).  The simulator's own tiers for these are already closed
+//    forms (MemoryBandwidthModel, NocModel), so the predictor owns a
+//    sim::Machine and answers them with those models — one
+//    implementation per quantity.  The topology precomputes its
+//    chips x chips min-hop table, so the hop cost a remote chase or
+//    stream pays is a lookup.
 //
 // Every query is O(1) arithmetic over state precomputed in the
 // constructor — no allocation, no locks — which is what makes the
@@ -43,10 +42,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "roofline/roofline.hpp"
 #include "sim/cache/hierarchy.hpp"
 #include "sim/cache/tlb.hpp"
 #include "sim/counters.hpp"
+#include "sim/machine/machine.hpp"
 #include "sim/machine/spec.hpp"
 #include "sim/machine/sweep.hpp"
 #include "ubench/workloads.hpp"
@@ -66,7 +65,9 @@ class Predictor {
   explicit Predictor(const sim::MachineSpec& spec);
 
   const sim::MachineSpec& spec() const { return spec_; }
-  int chips() const { return chips_; }
+  /// The simulator built from spec(): its bandwidth and NoC models
+  /// answer the roof and Table IV queries.
+  const sim::Machine& machine() const { return machine_; }
 
   // ---- latency plateau curve (Fig. 2) ------------------------------------
 
@@ -96,38 +97,9 @@ class Predictor {
 
   /// Steady-state per-access latency of a unit-stride scan with the
   /// prefetcher at DSCR depth `dscr`: memory latency / (depth + 1),
-  /// exactly NocModel::memory_latency_prefetched_ns.
+  /// i.e. NocModel::memory_latency_prefetched_ns.
   double stream_latency_ns(int dscr, int consumer_chip = 0,
                            int home_chip = 0) const;
-
-  // ---- bandwidth roofs (Table III, Figs. 3/4) ----------------------------
-
-  /// Sustained STREAM bandwidth: min over read-link, write-link
-  /// (with turnaround interference — the 2:1 peak), chip-fabric and
-  /// Little's-law concurrency caps.  Agrees bit for bit with
-  /// MemoryBandwidthModel::stream_gbs.
-  double stream_gbs(int chips, int cores, int threads, sim::RwMix mix,
-                    int dscr = 0) const;
-
-  /// Whole-system STREAM bandwidth, every core and thread active.
-  double system_stream_gbs(sim::RwMix mix) const;
-
-  /// Random-access bandwidth via the closed-network interpolation
-  /// against the row-activate bound (Fig. 4).
-  double random_gbs(int chips, int cores, int threads, int streams) const;
-
-  // ---- NoC latency (Table IV) --------------------------------------------
-
-  /// Demand-load latency from `consumer_chip` to memory homed on
-  /// `home_chip`: local DRAM latency + precomputed min-hop cost.
-  double noc_latency_ns(int consumer_chip, int home_chip) const;
-
-  // ---- roofline (Fig. 9) -------------------------------------------------
-
-  /// Roofline with the *sustained* (predicted) bandwidth roofs rather
-  /// than the nameplate peaks: mem roof = 2:1-mix system STREAM,
-  /// write roof = write-only system STREAM.
-  roofline::RooflineModel roofline() const;
 
   // ---- introspection (router guard bands, tests) -------------------------
 
@@ -135,16 +107,12 @@ class Predictor {
   const Level& level(std::size_t i) const { return levels_[i]; }
 
  private:
-  double hop_ns(int consumer_chip, int home_chip) const;
-
   sim::MachineSpec spec_;
+  sim::Machine machine_;
   sim::HierarchyConfig hier_;
   sim::TlbConfig tlb_;
-  int chips_ = 1;
   std::size_t level_count_ = 0;
   std::array<Level, 6> levels_{};
-  /// hop_ns_[home * chips_ + consumer] = Topology::min_latency_ns.
-  std::vector<double> hop_ns_;
 };
 
 /// One latency/bandwidth question for the two-tier stack.
@@ -200,10 +168,10 @@ class QueryRouter {
   QueryRouter(const sim::MachineSpec& spec, common::ThreadPool& pool);
 
   const Predictor& predictor() const { return predictor_; }
-  const sim::Machine& machine() const { return machine_; }
+  const sim::Machine& machine() const { return predictor_.machine(); }
 
   /// The routing policy (docs/PREDICT.md).  Bandwidth and NoC queries
-  /// are always analytic (the simulator's own tier is the same closed
+  /// are always analytic (the simulator's own tier for them is a closed
   /// form).  A chase-latency query is analytic when it matches the
   /// calibrated plateau model: random pattern, prefetch off
   /// (DSCR=1), and a footprint outside the guard band
@@ -231,9 +199,7 @@ class QueryRouter {
   double analytic(const Query& query) const;
   double simulate(const Query& query);
 
-  sim::MachineSpec spec_;
   Predictor predictor_;
-  sim::Machine machine_;
   sim::SweepRunner runner_;
   sim::Counter hits_;
   sim::Counter fallbacks_;

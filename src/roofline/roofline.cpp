@@ -23,12 +23,6 @@ RooflineModel RooflineModel::from_spec(const arch::SystemSpec& spec) {
                        spec.peak_write_gbs());
 }
 
-RooflineModel RooflineModel::from_sustained(const arch::SystemSpec& spec,
-                                            double mem_gbs,
-                                            double write_only_gbs) {
-  return RooflineModel(spec.peak_dp_gflops(), mem_gbs, write_only_gbs);
-}
-
 double RooflineModel::attainable_gflops(double oi, bool write_only) const {
   P8_REQUIRE(oi > 0, "operational intensity must be positive");
   const double roof = write_only ? write_only_gbs_ : mem_gbs_;

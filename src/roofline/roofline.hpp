@@ -30,13 +30,6 @@ class RooflineModel {
   /// Builds the model from a system spec using its theoretical peaks.
   static RooflineModel from_spec(const arch::SystemSpec& spec);
 
-  /// Builds the model with *sustained* bandwidth roofs (what the
-  /// analytic predictor derives from the bandwidth model) under the
-  /// spec's compute roof — the roofline a kernel actually hits, rather
-  /// than the nameplate ceiling.
-  static RooflineModel from_sustained(const arch::SystemSpec& spec,
-                                      double mem_gbs, double write_only_gbs);
-
   double peak_gflops() const { return peak_gflops_; }
   double mem_gbs() const { return mem_gbs_; }
   double write_only_gbs() const { return write_only_gbs_; }

@@ -31,7 +31,6 @@ LatencyProbe Machine::probe(const ProbeOptions& options) const {
   ProbeConfig config;
   config.hierarchy = HierarchyConfig::from_spec(spec_);
   config.hierarchy.victim_l3 = options.victim_l3;
-  config.hierarchy.l4_enabled = options.l4_enabled;
 
   config.tlb.page_bytes = options.page_bytes;
 
@@ -41,7 +40,6 @@ LatencyProbe Machine::probe(const ProbeOptions& options) const {
 
   config.remote_extra_ns =
       topology_.min_latency_ns(options.home_chip, options.consumer_chip);
-  config.compute_per_access_ns = options.compute_per_access_ns;
   LatencyProbe probe(config);
   if (options.counters != nullptr) probe.attach_counters(options.counters);
   return probe;

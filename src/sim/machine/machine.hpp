@@ -23,9 +23,7 @@ struct ProbeOptions {
   /// SMP hop latency to L4/DRAM service.
   int consumer_chip = 0;
   int home_chip = 0;
-  bool victim_l3 = true;   ///< ablation hook
-  bool l4_enabled = true;  ///< ablation hook
-  double compute_per_access_ns = 0.0;
+  bool victim_l3 = true;  ///< ablation hook
   /// When set, the probe stack (TLB, caches, prefetch engine) records
   /// its events here; null (the default) compiles the probe with every
   /// counter detached — zero overhead, bit-identical results.

@@ -3,9 +3,12 @@
 // derived quantities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/spec.hpp"
 #include "arch/topology.hpp"
 #include "common/units.hpp"
+#include "sim/machine/spec.hpp"
 
 namespace p8::arch {
 namespace {
@@ -238,6 +241,26 @@ TEST(Topology, LatencyIsSymmetric) {
   for (int a = 0; a < 8; ++a)
     for (int b = 0; b < 8; ++b)
       EXPECT_DOUBLE_EQ(t.min_latency_ns(a, b), t.min_latency_ns(b, a));
+}
+
+// The min-hop table from_spec fills holds the shortest protocol route
+// of every chip pair and refuses chips outside the system.
+TEST(Topology, MinLatencyTableIsTheShortestRouteOnEveryPreset) {
+  for (const auto& name : sim::machine_names()) {
+    const Topology t = Topology::from_spec(sim::machine_spec(name).system);
+    const int n = t.chips();
+    for (int src = 0; src < n; ++src)
+      for (int dst = 0; dst < n; ++dst) {
+        double best = src == dst ? 0.0 : 1e300;
+        for (const Route& r : t.routes(src, dst))
+          best = std::min(best, t.route_latency_ns(r));
+        EXPECT_EQ(t.min_latency_ns(src, dst), best)
+            << name << ": chip" << src << " -> chip" << dst;
+      }
+    EXPECT_THROW(t.min_latency_ns(-1, 0), std::invalid_argument) << name;
+    EXPECT_THROW(t.min_latency_ns(0, n), std::invalid_argument) << name;
+    EXPECT_THROW(t.min_latency_ns(n, n), std::invalid_argument) << name;
+  }
 }
 
 TEST(Topology, SingleGroupSystemHasNoPartner) {

@@ -1,18 +1,17 @@
 // The closed-form predictor (src/predict/machine_predict) and its
-// QueryRouter: unit pins against the simulator's own analytic tiers
-// (bandwidth and NoC queries must agree bit for bit — they evaluate
-// the identical formulas), the plateau staircase and routing policy,
-// and the fallback contract: a simulation-required query answered
-// through the router must equal the direct ubench run exactly.
+// QueryRouter: the plateau staircase and routing policy, and the
+// fallback contract: a simulation-required query answered through the
+// router must equal the direct ubench run exactly.
 //
 // The property section runs the predictor over randomized audit-clean
 // machine configurations (same generator discipline as
 // sim_property_test): predicted chase latency is monotone
-// non-decreasing in footprint, the bandwidth roofs order the same way
-// the latency plateaus do (more capacity -> higher latency; more
-// chips/cores/threads -> no lower roof), and every prediction is
-// finite and positive — the closed forms never divide through zero or
-// throw for a spec the audit accepts.
+// non-decreasing in footprint, the bandwidth roofs (the predictor's
+// machine().memory()) order the same way the latency plateaus do (more
+// capacity -> higher latency; more chips/cores/threads -> no lower
+// roof), and every prediction is finite and positive — the closed
+// forms never divide through zero or throw for a spec the audit
+// accepts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -60,7 +59,7 @@ sim::MachineSpec random_spec(proptest::Gen& gen) {
 }
 
 // ---------------------------------------------------------------------------
-// Unit pins: the staircase and the simulator's analytic tiers.
+// Unit pins: the staircase.
 
 TEST(Predictor, PlateauStaircaseFollowsTheHierarchy) {
   const sim::MachineSpec spec = e870();
@@ -88,33 +87,6 @@ TEST(Predictor, StaircaseCapacitiesAndLatenciesAreOrdered) {
     EXPECT_GT(p.level(i).capacity_bytes, p.level(i - 1).capacity_bytes);
     EXPECT_GE(p.level(i).latency_ns, p.level(i - 1).latency_ns);
   }
-}
-
-TEST(Predictor, BandwidthAgreesBitForBitWithTheSimTier) {
-  const sim::MachineSpec spec = e870();
-  const predict::Predictor p(spec);
-  const sim::Machine machine(spec.system, spec.mem, spec.noc);
-  const sim::RwMix mixes[] = {{1.0, 0.0}, {2.0, 1.0}, {1.0, 1.0}, {0.0, 1.0}};
-  for (const auto& mix : mixes) {
-    for (int chips = 1; chips <= p.chips(); ++chips)
-      for (int threads = 1; threads <= 8; threads *= 2)
-        EXPECT_EQ(p.stream_gbs(chips, 4, threads, mix),
-                  machine.memory().stream_gbs(chips, 4, threads, mix));
-    EXPECT_EQ(p.system_stream_gbs(mix), machine.memory().system_stream_gbs(mix));
-  }
-  for (int streams = 1; streams <= 16; streams *= 2)
-    EXPECT_EQ(p.random_gbs(p.chips(), 8, 8, streams),
-              machine.memory().random_gbs(p.chips(), 8, 8, streams));
-}
-
-TEST(Predictor, NocLatencyAgreesBitForBitWithTheSimTier) {
-  const sim::MachineSpec spec = e870();
-  const predict::Predictor p(spec);
-  const sim::Machine machine(spec.system, spec.mem, spec.noc);
-  for (int consumer = 0; consumer < p.chips(); ++consumer)
-    for (int home = 0; home < p.chips(); ++home)
-      EXPECT_EQ(p.noc_latency_ns(consumer, home),
-                machine.noc().memory_latency_ns(consumer, home));
 }
 
 // ---------------------------------------------------------------------------
@@ -212,6 +184,7 @@ TEST(PredictorProperty, RoofOrderingMatchesPlateauOrdering) {
     const sim::MachineSpec spec = random_spec(gen);
     if (!spec.audit().ok()) continue;
     const predict::Predictor p(spec);
+    const sim::MemoryBandwidthModel& mem = p.machine().memory();
     // Plateau ordering: deeper levels cost more and hold more.
     for (std::size_t i = 1; i < p.level_count(); ++i) {
       EXPECT_GT(p.level(i).capacity_bytes, p.level(i - 1).capacity_bytes);
@@ -222,20 +195,20 @@ TEST(PredictorProperty, RoofOrderingMatchesPlateauOrdering) {
     const int cores = spec.system.cores_per_chip;
     const int smt = spec.system.processor.core.smt_threads;
     double prev = 0.0;
-    for (int chips = 1; chips <= p.chips(); ++chips) {
-      const double roof = p.stream_gbs(chips, cores, smt, mix);
+    for (int chips = 1; chips <= spec.system.total_chips(); ++chips) {
+      const double roof = mem.stream_gbs(chips, cores, smt, mix);
       EXPECT_GE(roof, prev);
       prev = roof;
     }
     prev = 0.0;
     for (int threads = 1; threads <= smt; threads *= 2) {
-      const double roof = p.stream_gbs(1, cores, threads, mix);
+      const double roof = mem.stream_gbs(1, cores, threads, mix);
       EXPECT_GE(roof, prev);
       prev = roof;
     }
     prev = 0.0;
     for (int streams = 1; streams <= 32; streams *= 2) {
-      const double roof = p.random_gbs(1, cores, smt, streams);
+      const double roof = mem.random_gbs(1, cores, smt, streams);
       EXPECT_GE(roof, prev);
       prev = roof;
     }
@@ -249,19 +222,21 @@ TEST(PredictorProperty, AuditCleanSpecsPredictFiniteAndPositive) {
     if (!spec.audit().ok()) continue;
     ++clean;
     const predict::Predictor p(spec);
+    const sim::MemoryBandwidthModel& mem = p.machine().memory();
+    const int chips = spec.system.total_chips();
     const sim::RwMix mix{gen.real_range(0.0, 4.0), 1.0};
     const std::uint64_t footprint = gen.range(1, 1ull << 36);
-    const int chip = gen.int_range(0, p.chips() - 1);
+    const int chip = gen.int_range(0, chips - 1);
     const int smt = spec.system.processor.core.smt_threads;
     const double values[] = {
         p.chase_latency_ns(footprint, gen.chance(0.5) ? 64 * 1024 : 16ull << 20,
                            chip, 0),
         p.stream_latency_ns(gen.int_range(0, 7), chip, 0),
-        p.stream_gbs(gen.int_range(1, p.chips()), spec.system.cores_per_chip,
-                     gen.int_range(1, smt), mix),
-        p.system_stream_gbs(mix),
-        p.random_gbs(1, spec.system.cores_per_chip, smt, gen.int_range(1, 64)),
-        p.noc_latency_ns(chip, gen.int_range(0, p.chips() - 1)),
+        mem.stream_gbs(gen.int_range(1, chips), spec.system.cores_per_chip,
+                       gen.int_range(1, smt), mix),
+        mem.system_stream_gbs(mix),
+        mem.random_gbs(1, spec.system.cores_per_chip, smt, gen.int_range(1, 64)),
+        p.machine().noc().memory_latency_ns(chip, gen.int_range(0, chips - 1)),
     };
     for (double v : values) {
       EXPECT_TRUE(std::isfinite(v)) << "non-finite prediction";

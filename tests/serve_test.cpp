@@ -646,11 +646,11 @@ TEST(ServeServerTest, AnalyticAnswerIsBitIdenticalToPredictor) {
       "{\"kind\": \"stream-bandwidth\", \"chips\": 2, \"cores\": 8, "
       "\"threads\": 8, \"read\": 2, \"write\": 1}}");
   ASSERT_TRUE(response_ok(response)) << response;
-  const predict::Predictor predictor(sim::machine_spec("e870"));
+  const sim::Machine machine = sim::machine_spec("e870").machine();
   // The wire query carries the predict::Query defaults for everything
   // it omits — including dscr = 1 — so the direct call must match.
-  const double direct =
-      predictor.stream_gbs(2, 8, 8, sim::RwMix{2.0, 1.0}, /*dscr=*/1);
+  const double direct = machine.memory().stream_gbs(
+      2, 8, 8, sim::RwMix{2.0, 1.0}, /*dscr=*/1);
   EXPECT_EQ(response_value(response), direct);
   // Byte identity, not just double equality: the response embeds
   // exactly json_number(direct).

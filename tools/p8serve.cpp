@@ -163,7 +163,7 @@ int send_and_print(const std::string& socket_path, const std::string& line,
   }
 }
 
-int cmd_query(common::ArgParser& args) {
+int send_query(common::ArgParser& args) {
   const std::string socket_path = socket_arg(args);
   const std::string machine =
       args.get_string("machine", "e870", "preset name or spec.json path");
@@ -240,6 +240,19 @@ int cmd_query(common::ArgParser& args) {
   line += ", \"streams\": " + std::to_string(streams);
   line += "}}";
   return send_and_print(socket_path, line, /*fail_on_error_response=*/true);
+}
+
+int cmd_query(common::ArgParser& args) {
+  // A numeric flag whose value does not parse throws from the parser;
+  // that is a usage error like an unknown flag, not an abort.  Range
+  // checks stay with the daemon.
+  try {
+    return send_query(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage(stderr);
+    return 2;
+  }
 }
 
 int cmd_request(common::ArgParser& args) {

@@ -4,9 +4,11 @@
 // SpMV algorithms (plain CSR and the two-phase tiled variant) as a
 // PageRank-style power iteration, and finishes with an all-pairs
 // Jaccard pass filtered to strong similarities.
+#include <climits>
 #include <cmath>
 #include <cstdio>
 
+#include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/threading.hpp"
 #include "common/timer.hpp"
@@ -19,18 +21,20 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int scale = static_cast<int>(args.get_int("scale", 14, "R-MAT scale"));
-  const int degree = static_cast<int>(args.get_int("degree", 16, ""));
-  const int iterations =
-      static_cast<int>(args.get_int("iterations", 10, "power iterations"));
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (args.finish()) {
-    std::printf("%s", args.help().c_str());
-    return 0;
-  }
+  const auto scale_arg =
+      bench::bounded_int_arg(args, "scale", 14, 1, 30, "R-MAT scale");
+  const auto degree_arg =
+      bench::bounded_int_arg(args, "degree", 16, 1, INT_MAX, "mean degree");
+  const auto iterations_arg = bench::bounded_int_arg(
+      args, "iterations", 10, 1, INT_MAX, "power iterations");
+  const auto threads = bench::threads_arg(args);
+  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!scale_arg || !degree_arg || !iterations_arg || !threads) return 2;
+  const int scale = static_cast<int>(*scale_arg);
+  const int degree = static_cast<int>(*degree_arg);
+  const int iterations = static_cast<int>(*iterations_arg);
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
 
   // --- the graph --------------------------------------------------------
   graph::RmatOptions opt;

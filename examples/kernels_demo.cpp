@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "arch/spec.hpp"
+#include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/threading.hpp"
@@ -22,13 +23,10 @@
 int main(int argc, char** argv) {
   using namespace p8;
   common::ArgParser args(argc, argv);
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (args.finish()) {
-    std::printf("%s", args.help().c_str());
-    return 0;
-  }
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  const auto threads = bench::threads_arg(args);
+  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!threads) return 2;
+  common::ThreadPool pool(bench::pool_threads(*threads));
   const auto roofline = roofline::RooflineModel::from_spec(arch::e870());
 
   // ---- 1. heat diffusion ---------------------------------------------------

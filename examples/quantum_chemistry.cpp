@@ -3,10 +3,12 @@
 // Builds a molecule, shows the basis/screening bookkeeping (Table V
 // style), runs SCF in both ERI modes (HF-Comp vs HF-Mem, Table VI
 // style) and reports energy and timing.
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/threading.hpp"
 #include "hf/scf.hpp"
@@ -16,17 +18,16 @@ int main(int argc, char** argv) {
   common::ArgParser args(argc, argv);
   const std::string kind = args.get_string(
       "molecule", "alkane", "alkane|graphene|dna|protein|h2");
-  const int size = static_cast<int>(args.get_int("size", 6, "molecule size"));
+  const auto size_arg =
+      bench::bounded_int_arg(args, "size", 6, 1, INT_MAX, "molecule size");
   const double tol =
       args.get_double("screen-tol", 1e-10, "Schwarz screening tolerance");
   const bool double_zeta =
       args.get_flag("double-zeta", "add a diffuse s shell per atom");
-  const int threads = static_cast<int>(args.get_int(
-      "threads", static_cast<int>(common::default_thread_count()), ""));
-  if (args.finish()) {
-    std::printf("%s", args.help().c_str());
-    return 0;
-  }
+  const auto threads = bench::threads_arg(args);
+  if (auto exit_code = bench::finish_args(args)) return *exit_code;
+  if (!size_arg || !threads) return 2;
+  const int size = static_cast<int>(*size_arg);
 
   hf::Molecule molecule;
   if (kind == "alkane") molecule = hf::alkane(size);
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  common::ThreadPool pool(static_cast<std::size_t>(threads));
+  common::ThreadPool pool(bench::pool_threads(*threads));
   hf::BasisOptions basis_options;
   basis_options.double_zeta = double_zeta;
   hf::ScfSolver solver(molecule, pool, basis_options);

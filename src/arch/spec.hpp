@@ -68,11 +68,6 @@ struct CentaurSpec {
   double write_link_gbs = 9.6;   ///< processor->Centaur
   std::uint64_t max_dram_bytes = p8::common::gib(128);
 
-  constexpr double peak_2to1_gbs() const {
-    // At a 2:1 read:write byte ratio both link directions saturate.
-    return read_link_gbs + write_link_gbs;
-  }
-
   friend bool operator==(const CentaurSpec&, const CentaurSpec&) = default;
 };
 

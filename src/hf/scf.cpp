@@ -145,13 +145,13 @@ la::Matrix ScfSolver::fock(const la::Matrix& density,
     p.k = la::Matrix(n, n);
   }
 
-  std::atomic<std::size_t> cursor{0};
+  // Pairs are dealt to workers cyclically, so which partial sums each
+  // quartet (and so the rounding of the merged matrix) does not depend
+  // on the thread schedule.
+  const std::size_t workers = pool_.size();
   pool_.run_on_all([&](std::size_t worker) {
     Partial& acc = partials[worker];
-    for (;;) {
-      // p8lint: allow(conc-weak-atomic) ticket counter: each pair claimed once; merge after join
-      const std::size_t p = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (p >= pairs) break;
+    for (std::size_t p = worker; p < pairs; p += workers) {
       const auto [ii, jj] = decode_pair(p);
       const double qp = schwarz_[p];
       if (qp == 0.0) continue;
@@ -178,40 +178,40 @@ std::vector<PackedEri> ScfSolver::precompute_eris(
   const std::size_t n = basis_.size();
   const std::size_t pairs = n * (n + 1) / 2;
 
-  std::vector<std::vector<PackedEri>> buckets(pool_.size());
-  std::atomic<std::size_t> cursor{0};
-  pool_.run_on_all([&](std::size_t worker) {
-    auto& out = buckets[worker];
-    for (;;) {
-      // p8lint: allow(conc-weak-atomic) ticket counter: each pair claimed once; merge after join
-      const std::size_t p = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (p >= pairs) break;
-      const auto [ii, jj] = decode_pair(p);
-      const double qp = schwarz_[p];
-      if (qp == 0.0) continue;
-      for (std::size_t q = 0; q <= p; ++q) {
-        if (qp * schwarz_[q] < screen_tolerance) continue;
-        const auto [kk, ll] = decode_pair(q);
-        PackedEri e;
-        e.i = static_cast<std::uint16_t>(ii);
-        e.j = static_cast<std::uint16_t>(jj);
-        e.k = static_cast<std::uint16_t>(kk);
-        e.l = static_cast<std::uint16_t>(ll);
-        e.value = eri(pairs_[p], pairs_[q]);
-        out.push_back(e);
-      }
+  // Each pair's surviving quartets are counted first and written at a
+  // fixed offset, so the list is in pair order whatever the schedule
+  // and fock_from_list's static split always sums the same quartets.
+  const auto survives = [&](double qp, std::size_t q) {
+    return qp * schwarz_[q] >= screen_tolerance;
+  };
+  std::vector<std::size_t> offset(pairs + 1, 0);
+  pool_.parallel_for_dynamic(0, pairs, 64, [&](std::size_t p) {
+    const double qp = schwarz_[p];
+    if (qp == 0.0) return;
+    std::size_t kept = 0;
+    for (std::size_t q = 0; q <= p; ++q)
+      if (survives(qp, q)) ++kept;
+    offset[p + 1] = kept;
+  });
+  for (std::size_t p = 0; p < pairs; ++p) offset[p + 1] += offset[p];
+
+  std::vector<PackedEri> list(offset[pairs]);
+  pool_.parallel_for_dynamic(0, pairs, 1, [&](std::size_t p) {
+    const double qp = schwarz_[p];
+    if (qp == 0.0) return;
+    const auto [ii, jj] = decode_pair(p);
+    std::size_t out = offset[p];
+    for (std::size_t q = 0; q <= p; ++q) {
+      if (!survives(qp, q)) continue;
+      const auto [kk, ll] = decode_pair(q);
+      PackedEri& e = list[out++];
+      e.i = static_cast<std::uint16_t>(ii);
+      e.j = static_cast<std::uint16_t>(jj);
+      e.k = static_cast<std::uint16_t>(kk);
+      e.l = static_cast<std::uint16_t>(ll);
+      e.value = eri(pairs_[p], pairs_[q]);
     }
   });
-
-  std::size_t total = 0;
-  for (const auto& b : buckets) total += b.size();
-  std::vector<PackedEri> list;
-  list.reserve(total);
-  for (auto& b : buckets) {
-    list.insert(list.end(), b.begin(), b.end());
-    b.clear();
-    b.shrink_to_fit();
-  }
   return list;
 }
 

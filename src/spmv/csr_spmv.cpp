@@ -58,10 +58,4 @@ void spmv(const graph::CsrMatrix& a, std::span<const double> x,
   });
 }
 
-void spmv(const graph::CsrMatrix& a, std::span<const double> x,
-          std::span<double> y, common::ThreadPool& pool) {
-  const CsrSpmvPlan plan(a, pool.size());
-  spmv(a, x, y, pool, plan);
-}
-
 }  // namespace p8::spmv

@@ -50,10 +50,6 @@ void spmv(const graph::CsrMatrix& a, std::span<const double> x,
           std::span<double> y, common::ThreadPool& pool,
           const CsrSpmvPlan& plan);
 
-/// Convenience: plan + execute.
-void spmv(const graph::CsrMatrix& a, std::span<const double> x,
-          std::span<double> y, common::ThreadPool& pool);
-
 /// FLOP count of one SpMV (2 per nonzero, the paper's convention).
 inline double spmv_flops(const graph::CsrMatrix& a) {
   return 2.0 * static_cast<double>(a.nnz());

@@ -3,15 +3,9 @@
 // statistics.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <sstream>
-
-#include "common/threading.hpp"
 #include "graph/csr.hpp"
-#include "graph/io.hpp"
 #include "graph/matrices.hpp"
 #include "graph/rmat.hpp"
-#include "graph/spgemm.hpp"
 #include "graph/stats.hpp"
 
 namespace p8::graph {
@@ -266,184 +260,6 @@ TEST(Stats, KnownSkew) {
   EXPECT_GT(degree_stats(m).gini, 0.6);
   EXPECT_EQ(degree_stats(m).max, 10u);
   EXPECT_EQ(degree_stats(m).min, 0u);
-}
-
-// ----------------------------------------------------------------- spgemm --
-
-common::ThreadPool& spgemm_pool() {
-  static common::ThreadPool p(3);
-  return p;
-}
-
-TEST(Spgemm, IdentityIsNeutral) {
-  const CsrMatrix a = random_uniform(50, 4, 17);
-  std::vector<Triplet> eye;
-  for (std::uint32_t i = 0; i < 50; ++i) eye.push_back({i, i, 1.0});
-  const CsrMatrix identity = CsrMatrix::from_triplets(50, 50, std::move(eye));
-  const CsrMatrix left = spgemm(identity, a, spgemm_pool());
-  const CsrMatrix right = spgemm(a, identity, spgemm_pool());
-  for (std::uint32_t r = 0; r < 50; ++r) {
-    ASSERT_EQ(left.row_nnz(r), a.row_nnz(r));
-    ASSERT_EQ(right.row_nnz(r), a.row_nnz(r));
-    for (std::size_t k = 0; k < a.row_nnz(r); ++k) {
-      EXPECT_DOUBLE_EQ(left.row_values(r)[k], a.row_values(r)[k]);
-      EXPECT_DOUBLE_EQ(right.row_values(r)[k], a.row_values(r)[k]);
-    }
-  }
-}
-
-TEST(Spgemm, MatchesDenseReference) {
-  const CsrMatrix a = random_uniform(40, 5, 3);
-  const CsrMatrix b = random_uniform(40, 5, 4);
-  const CsrMatrix c = spgemm(a, b, spgemm_pool());
-  // Dense reference.
-  std::vector<double> dense(40 * 40, 0.0);
-  for (std::uint32_t i = 0; i < 40; ++i)
-    for (std::size_t ka = 0; ka < a.row_nnz(i); ++ka) {
-      const std::uint32_t k = a.row_cols(i)[ka];
-      for (std::size_t kb = 0; kb < b.row_nnz(k); ++kb)
-        dense[i * 40 + b.row_cols(k)[kb]] +=
-            a.row_values(i)[ka] * b.row_values(k)[kb];
-    }
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    for (std::uint32_t j = 0; j < 40; ++j) {
-      const double want = dense[i * 40 + j];
-      double got = 0.0;
-      const auto cols = c.row_cols(i);
-      for (std::size_t k = 0; k < cols.size(); ++k)
-        if (cols[k] == j) got = c.row_values(i)[k];
-      EXPECT_NEAR(got, want, 1e-12) << i << "," << j;
-    }
-  }
-}
-
-TEST(Spgemm, RectangularChain) {
-  const CsrMatrix a = lp_rectangular(30, 100, 4, 5);   // 30 x 100
-  const CsrMatrix b = lp_rectangular(100, 20, 3, 6);   // 100 x 20
-  const CsrMatrix c = spgemm(a, b, spgemm_pool());
-  EXPECT_EQ(c.rows(), 30u);
-  EXPECT_EQ(c.cols(), 20u);
-  EXPECT_TRUE(c.well_formed());
-}
-
-TEST(Spgemm, DimensionMismatchRejected) {
-  const CsrMatrix a = random_uniform(10, 2, 1);
-  const CsrMatrix b = random_uniform(11, 2, 1);
-  EXPECT_THROW(spgemm(a, b, spgemm_pool()), std::invalid_argument);
-}
-
-TEST(Spgemm, SquaringAdjacencyCountsPaths) {
-  // Path 0-1-2 (undirected): A^2 counts 2-walks; (A^2)[0][2] = 1.
-  const Graph g = graph_from_edges(3, std::vector<std::pair<std::uint32_t, std::uint32_t>>{{0, 1}, {1, 2}});
-  const CsrMatrix a2 = spgemm(g.adjacency, g.adjacency, spgemm_pool());
-  double zero_two = 0.0;
-  const auto cols = a2.row_cols(0);
-  for (std::size_t k = 0; k < cols.size(); ++k)
-    if (cols[k] == 2) zero_two = a2.row_values(0)[k];
-  EXPECT_DOUBLE_EQ(zero_two, 1.0);  // the common neighbor count of §V-A
-}
-
-TEST(Spgemm, FlopEstimate) {
-  const CsrMatrix a = random_uniform(100, 4, 7);
-  EXPECT_EQ(spgemm_flops(a, a) % 1, 0u);
-  EXPECT_GT(spgemm_flops(a, a), a.nnz());
-}
-
-TEST(Spgemm, ChunkSizeInvariant) {
-  const CsrMatrix a = random_uniform(200, 6, 8);
-  SpgemmOptions small;
-  small.row_chunk = 1;
-  SpgemmOptions large;
-  large.row_chunk = 1000;
-  const CsrMatrix c1 = spgemm(a, a, spgemm_pool(), small);
-  const CsrMatrix c2 = spgemm(a, a, spgemm_pool(), large);
-  ASSERT_EQ(c1.nnz(), c2.nnz());
-  for (std::uint32_t r = 0; r < 200; ++r)
-    for (std::size_t k = 0; k < c1.row_nnz(r); ++k)
-      EXPECT_DOUBLE_EQ(c1.row_values(r)[k], c2.row_values(r)[k]);
-}
-
-// --------------------------------------------------------------------- io --
-
-TEST(MatrixMarket, ReadsGeneralReal) {
-  std::istringstream in(
-      "%%MatrixMarket matrix coordinate real general\n"
-      "% a comment\n"
-      "3 4 2\n"
-      "1 1 2.5\n"
-      "3 4 -1\n");
-  const CsrMatrix m = read_matrix_market(in);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 4u);
-  EXPECT_EQ(m.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(m.row_values(0)[0], 2.5);
-  EXPECT_EQ(m.row_cols(2)[0], 3u);
-}
-
-TEST(MatrixMarket, SymmetricExpandsBothTriangles) {
-  std::istringstream in(
-      "%%MatrixMarket matrix coordinate real symmetric\n"
-      "2 2 2\n"
-      "1 1 1.0\n"
-      "2 1 5.0\n");
-  const CsrMatrix m = read_matrix_market(in);
-  EXPECT_EQ(m.nnz(), 3u);  // diagonal once, off-diagonal twice
-  EXPECT_DOUBLE_EQ(m.row_values(0)[1], 5.0);
-  EXPECT_DOUBLE_EQ(m.row_values(1)[0], 5.0);
-}
-
-TEST(MatrixMarket, PatternGetsUnitValues) {
-  std::istringstream in(
-      "%%MatrixMarket matrix coordinate pattern general\n"
-      "2 2 1\n"
-      "2 2\n");
-  const CsrMatrix m = read_matrix_market(in);
-  EXPECT_DOUBLE_EQ(m.row_values(1)[0], 1.0);
-}
-
-TEST(MatrixMarket, RoundTrip) {
-  const CsrMatrix original = random_uniform(60, 5, 3);
-  std::stringstream buffer;
-  write_matrix_market(buffer, original);
-  const CsrMatrix back = read_matrix_market(buffer);
-  ASSERT_EQ(back.nnz(), original.nnz());
-  ASSERT_EQ(back.rows(), original.rows());
-  for (std::uint32_t r = 0; r < original.rows(); ++r) {
-    const auto a = original.row_cols(r);
-    const auto b = back.row_cols(r);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k], b[k]);
-      EXPECT_DOUBLE_EQ(original.row_values(r)[k], back.row_values(r)[k]);
-    }
-  }
-}
-
-TEST(MatrixMarket, RejectsMalformedInput) {
-  std::istringstream no_banner("3 3 1\n1 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(no_banner), std::invalid_argument);
-
-  std::istringstream bad_field(
-      "%%MatrixMarket matrix coordinate complex general\n2 2 0\n");
-  EXPECT_THROW(read_matrix_market(bad_field), std::invalid_argument);
-
-  std::istringstream out_of_bounds(
-      "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(out_of_bounds), std::invalid_argument);
-
-  std::istringstream truncated(
-      "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n");
-  EXPECT_THROW(read_matrix_market(truncated), std::invalid_argument);
-}
-
-TEST(MatrixMarket, FileHelpers) {
-  const CsrMatrix m = random_uniform(20, 3, 9);
-  const std::string path = "/tmp/p8repro_io_test.mtx";
-  write_matrix_market_file(path, m);
-  const CsrMatrix back = read_matrix_market_file(path);
-  EXPECT_EQ(back.nnz(), m.nnz());
-  EXPECT_THROW(read_matrix_market_file("/nonexistent/x.mtx"),
-               std::invalid_argument);
 }
 
 TEST(Stats, BandwidthOfDiagonalIsZero) {

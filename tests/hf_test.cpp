@@ -2,7 +2,10 @@
 // builders (fast vs brute force), and full SCF runs in both ERI modes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "hf/basis.hpp"
 #include "hf/integrals.hpp"
@@ -322,6 +325,31 @@ TEST(Scf, EnergyInvariantToThreadCount) {
   ScfSolver s1(m, p1);
   ScfSolver s4(m, p4);
   EXPECT_NEAR(s1.run().energy, s4.run().energy, 1e-9);
+}
+
+std::vector<std::uint64_t> bits(const la::Matrix& m) {
+  std::vector<std::uint64_t> out;
+  for (const double v : m.data())
+    out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(Scf, FockIsBitIdenticalAcrossRuns) {
+  // Which worker sums each quartet is fixed by the pair index, not by
+  // the thread schedule, so repeated builds round identically in both
+  // ERI modes (Table VI's |dE| column depends on it).
+  common::ThreadPool p3(3);
+  ScfSolver solver(alkane(4), p3);
+  const la::Matrix p = solver.density_from_fock(
+      core_hamiltonian(solver.basis(), solver.molecule()));
+  const double tol = 1e-10;
+  const auto comp = bits(solver.fock(p, tol));
+  const auto mem = bits(solver.fock_from_list(p, solver.precompute_eris(tol)));
+  for (int run = 0; run < 5; ++run) {
+    EXPECT_EQ(bits(solver.fock(p, tol)), comp) << "HF-Comp run " << run;
+    EXPECT_EQ(bits(solver.fock_from_list(p, solver.precompute_eris(tol))), mem)
+        << "HF-Mem run " << run;
+  }
 }
 
 TEST(Scf, PurificationDensityMatchesDiagonalization) {

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "graph/rmat.hpp"
-#include "graph/spgemm.hpp"
 #include "jaccard/jaccard.hpp"
 
 namespace p8::jaccard {
@@ -164,37 +163,6 @@ TEST(AllPairs, EmptyGraph) {
   common::ThreadPool pool(2);
   const auto result = all_pairs(g, pool);
   EXPECT_EQ(result.similarities.nnz(), 0u);
-}
-
-TEST(AllPairs, AgreesWithAdjacencySquaring) {
-  // §V-A's framing: common-neighbor counts are the entries of A^2.
-  // Rebuild the similarities from the general SpGEMM and compare.
-  graph::RmatOptions o;
-  o.scale = 9;
-  o.edge_factor = 8;
-  const auto g = graph::rmat_graph(o);
-  common::ThreadPool pool(3);
-  const auto direct = as_map(all_pairs(g, pool));
-
-  const graph::CsrMatrix a2 =
-      graph::spgemm(g.adjacency, g.adjacency, pool);
-  std::size_t checked = 0;
-  for (std::uint32_t i = 0; i < a2.rows(); ++i) {
-    const auto cols = a2.row_cols(i);
-    const auto vals = a2.row_values(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      const std::uint32_t j = cols[k];
-      if (j <= i) continue;  // upper triangle, off-diagonal
-      const double common = vals[k];
-      const double uni = static_cast<double>(g.degree(i)) +
-                         static_cast<double>(g.degree(j)) - common;
-      const auto it = direct.find({i, j});
-      ASSERT_NE(it, direct.end()) << i << "," << j;
-      EXPECT_NEAR(it->second, common / uni, 1e-12);
-      ++checked;
-    }
-  }
-  EXPECT_EQ(checked, direct.size());
 }
 
 TEST(AllPairs, StaticScheduleSameResultWorseBalance) {

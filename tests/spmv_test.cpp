@@ -57,7 +57,7 @@ TEST(CsrSpmv, ParallelMatchesSerial) {
   std::vector<double> yp(a.rows());
   spmv_serial(a, x, ys);
   common::ThreadPool pool(4);
-  spmv(a, x, yp, pool);
+  spmv(a, x, yp, pool, CsrSpmvPlan(a, pool.size()));
   EXPECT_LT(max_rel_diff(ys, yp), 1e-12);
 }
 
@@ -68,7 +68,7 @@ TEST(CsrSpmv, RectangularMatrix) {
   std::vector<double> yp(a.rows());
   spmv_serial(a, x, ys);
   common::ThreadPool pool(3);
-  spmv(a, x, yp, pool);
+  spmv(a, x, yp, pool, CsrSpmvPlan(a, pool.size()));
   EXPECT_LT(max_rel_diff(ys, yp), 1e-12);
 }
 

@@ -24,7 +24,11 @@
 //  * throughput of the closed-form analytic tier (predict_queries_per_s):
 //    chase-latency queries answered by sim::Predictor without touching
 //    the event simulator — the fast path bench_predict differentially
-//    validates.
+//    validates, and
+//  * the cost of building one LatencyProbe (probe_construct_us) on the
+//    e870, e880 and e850c presets: every Fig. 2 chase point and every
+//    simulated p8serve answer pays it once, zero-filling the probe's
+//    victim-pool and L4 way arrays before the first access.
 //
 // Results are printed as a table and written as machine-readable JSON
 // (default BENCH_perf_simcore.json), with the host's CPU count and
@@ -87,6 +91,22 @@ double seq_scan(const sim::Machine& machine, std::uint64_t n, int reps) {
   std::vector<std::uint64_t> trace(n);
   for (std::uint64_t i = 0; i < n; ++i) trace[i] = i * 128;
   return time_pattern(machine, opts, trace, reps);
+}
+
+/// Median wall time, in microseconds, of building and destroying one
+/// default LatencyProbe on `preset` — mapping, zero-filling and
+/// unmapping the probe's cache arrays.  The median of 31 keeps one
+/// page-fault storm or descheduling from setting the number.
+double probe_construct_us(const std::string& preset) {
+  const sim::Machine machine = sim::machine_spec(preset).machine();
+  std::vector<double> us(31);
+  for (double& t : us) {
+    common::Timer timer;
+    { const sim::LatencyProbe probe = machine.probe(sim::ProbeOptions{}); }
+    t = timer.seconds() * 1e6;
+  }
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  return us[us.size() / 2];
 }
 
 /// Fig. 2-style randomized chase over a 16 MB working set — cache way
@@ -369,6 +389,10 @@ int main(int argc, char** argv) {
   // The analytic fast path, for the same machine the hot paths ran on.
   const predict::Predictor predictor(*machine_spec);
   const double predict_qps = predict_queries_per_s(predictor);
+  const char* const construct_presets[] = {"e870", "e880", "e850c"};
+  double construct_us[3];
+  for (std::size_t i = 0; i < 3; ++i)
+    construct_us[i] = probe_construct_us(construct_presets[i]);
   const bool hetero_identical =
       hetero_serial.checksum == hetero_par.checksum;
   const double hetero_speedup =
@@ -408,6 +432,10 @@ int main(int argc, char** argv) {
                  std::to_string(hetero_par.steals) + " steals)"});
   t.add_row({"analytic predict, Mquery/s",
              common::fmt_num(predict_qps / 1e6, 1)});
+  for (std::size_t i = 0; i < 3; ++i)
+    t.add_row({std::string("probe construction, ") + construct_presets[i] +
+                   " (us)",
+               common::fmt_num(construct_us[i], 0)});
   t.add_row({"bit-identical results", all_identical ? "yes" : "NO"});
   std::printf("%s\n", t.to_string().c_str());
   std::printf("sweep checksum: %016llx\n\n",
@@ -427,6 +455,8 @@ int main(int argc, char** argv) {
                  "  \"seq_scan_macc_per_s\": %.3f,\n"
                  "  \"chase_macc_per_s\": %.3f,\n"
                  "  \"predict_queries_per_s\": %.0f,\n"
+                 "  \"probe_construct_us\": {\"e870\": %.1f, \"e880\": %.1f, "
+                 "\"e850c\": %.1f},\n"
                  "  \"sweep_max_mb\": %llu,\n"
                  "  \"sweep_points\": %zu,\n"
                  "  \"sweep_sequential_s\": %.4f,\n"
@@ -449,7 +479,8 @@ int main(int argc, char** argv) {
                  runner.threads(), host_cpus,
                  common::json_quote(host_model).c_str(),
                  static_cast<unsigned long long>(accesses), seq_macc,
-                 chase_macc, predict_qps,
+                 chase_macc, predict_qps, construct_us[0], construct_us[1],
+                 construct_us[2],
                  static_cast<unsigned long long>(max_mb), sizes.size(), seq_s,
                  par_s, speedup, width_speedup(0), width_speedup(1),
                  width_speedup(2), hetero_par.tasks, hetero_serial.wall_s,

@@ -196,14 +196,20 @@ echo "serve smoke: clean shutdown, no leaked socket"
 # threads: the daemon's buffer handling with ASan watching the
 # hostile-frame matrix) — the probe suite (access_batch's chunk
 # replay and its look-ahead reads) — the topology suite (the min-hop
-# table's index arithmetic and range checks) — and the chase-chain
+# table's index arithmetic and range checks) — the chase-chain
 # suite (the shuffle's prefetch ring and the cyclic walk index; the
 # rest of ubench_test is slow under ASan and runs in the Release
-# ctest above).
+# ctest above) — the cache suite (the packed 8-byte ways, their
+# stamp renumbering and the reference-model property) — and the
+# common suite (the huge-page allocator, which under ASan takes its
+# instrumented aligned_alloc path).
 cmake -B build-asan -S . -DP8_SANITIZE=address
 cmake --build build-asan -j --target sim_counters_test sweep_test trace_test \
-  machine_predict_test serve_test ubench_test sim_probe_test arch_test
+  machine_predict_test serve_test ubench_test sim_probe_test arch_test \
+  sim_cache_test common_test
 ./build-asan/tests/arch_test
+./build-asan/tests/sim_cache_test
+./build-asan/tests/common_test
 ./build-asan/tests/sim_counters_test
 ./build-asan/tests/sweep_test
 ./build-asan/tests/trace_test
@@ -217,10 +223,15 @@ cmake --build build-asan -j --target sim_counters_test sweep_test trace_test \
 # P8_INVARIANT active — proves the hot-path invariants hold on real
 # sweep workloads, not just that they compile.  The property suite runs
 # here too: "audit-clean implies simulates without tripping a contract"
-# only means something with the contracts armed.
+# only means something with the contracts armed.  So do the cache and
+# common suites: the cache's LRU-stamp postconditions (renumbering at
+# the clock wrap included) run on every install.
 cmake -B build-contracts -S . -DCMAKE_BUILD_TYPE=Debug -DP8_CONTRACTS=ON
 cmake --build build-contracts -j --target sweep_test contracts_test \
-  sim_audit_test sim_property_test machine_predict_test serve_test
+  sim_audit_test sim_property_test machine_predict_test serve_test \
+  sim_cache_test common_test
+./build-contracts/tests/sim_cache_test
+./build-contracts/tests/common_test
 ./build-contracts/tests/sweep_test
 ./build-contracts/tests/contracts_test
 ./build-contracts/tests/sim_audit_test

@@ -42,31 +42,6 @@ CsrMatrix CsrMatrix::from_triplets(std::uint32_t rows, std::uint32_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::transposed() const {
-  CsrMatrix t;
-  t.rows_ = cols_;
-  t.cols_ = rows_;
-  t.row_ptr_.assign(static_cast<std::size_t>(cols_) + 1, 0);
-  t.col_idx_.resize(nnz());
-  t.values_.resize(nnz());
-
-  // Counting sort by column.
-  for (const std::uint32_t c : col_idx_) ++t.row_ptr_[c + 1];
-  for (std::size_t i = 1; i < t.row_ptr_.size(); ++i)
-    t.row_ptr_[i] += t.row_ptr_[i - 1];
-
-  std::vector<std::uint64_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::uint32_t c = col_idx_[k];
-      const std::uint64_t pos = cursor[c]++;
-      t.col_idx_[pos] = r;
-      t.values_[pos] = values_[k];
-    }
-  }
-  return t;
-}
-
 std::uint64_t CsrMatrix::memory_bytes() const {
   return row_ptr_.size() * sizeof(std::uint64_t) +
          col_idx_.size() * sizeof(std::uint32_t) +

@@ -50,9 +50,6 @@ class CsrMatrix {
     return row_ptr_[r + 1] - row_ptr_[r];
   }
 
-  /// The transpose (also CSR; equals CSC of this matrix).
-  CsrMatrix transposed() const;
-
   /// Bytes of storage held by this matrix.
   std::uint64_t memory_bytes() const;
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cinttypes>
+#include <cstdio>
+#include <stdexcept>
+#include <utility>
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
@@ -16,7 +20,7 @@ namespace {
 /// only ever called from contract checks.
 template <typename Entries>
 bool lru_stamps_distinct(const Entries& entries, std::uint64_t base,
-                         unsigned ways, std::uint64_t valid_bit) {
+                         unsigned ways, std::uint32_t valid_bit) {
   for (unsigned a = 0; a < ways; ++a) {
     if (!(entries[base + a].meta & valid_bit)) continue;
     for (unsigned b = a + 1; b < ways; ++b) {
@@ -60,7 +64,7 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes, unsigned ways,
   P8_ENSURE(resident_lines() == 0, "a fresh cache must be empty");
 }
 
-std::uint64_t SetAssocCache::scan_set(std::uint64_t base, std::uint64_t want,
+std::uint64_t SetAssocCache::scan_set(std::uint64_t base, std::uint32_t want,
                                       std::uint64_t& victim,
                                       bool& victim_invalid) const {
   std::uint64_t invalid = kNoEntry;
@@ -70,12 +74,12 @@ std::uint64_t SetAssocCache::scan_set(std::uint64_t base, std::uint64_t want,
   // reproduces the historical rescanning code exactly: invalid ways
   // never enter the minimum fold, and whenever the minimum matters —
   // no invalid way exists — way 0 is valid and a legitimate seed.
-  std::uint64_t min_lru = entries_[base].lru;
+  std::uint32_t min_lru = entries_[base].lru;
   for (unsigned w = 0; w < ways_; ++w) {
     const std::uint64_t e = base + w;
-    const std::uint64_t m = entries_[e].meta;
+    const std::uint32_t m = entries_[e].meta;
     if ((m & ~kDirty) == want) return e;
-    const std::uint64_t l = entries_[e].lru;
+    const std::uint32_t l = entries_[e].lru;
     const bool inv = !(m & kValid);
     invalid = (inv && invalid == kNoEntry) ? e : invalid;
     const bool older = !inv && l < min_lru;
@@ -90,15 +94,15 @@ std::uint64_t SetAssocCache::scan_set(std::uint64_t base, std::uint64_t want,
 bool SetAssocCache::touch_install(std::uint64_t addr) {
   std::uint64_t set, tag;
   split(addr, set, tag);
-  const std::uint64_t want = meta_of(tag, kValid);
+  const std::uint32_t want = meta_of(tag, kValid);
   std::uint64_t victim = kNoEntry;
   bool victim_invalid = false;
   const std::uint64_t e = scan_set(set * ways_, want, victim, victim_invalid);
   if (e != kNoEntry) {
-    entries_[e].lru = ++clock_;
+    entries_[e].lru = tick();
     return true;
   }
-  entries_[victim] = {want, ++clock_};
+  entries_[victim] = {want, tick()};
   P8_ENSURE(probe(addr), "touch_install must leave the line resident");
   return false;
 }
@@ -106,12 +110,12 @@ bool SetAssocCache::touch_install(std::uint64_t addr) {
 bool SetAssocCache::touch_slot(std::uint64_t addr, Slot& slot) {
   std::uint64_t set, tag;
   split(addr, set, tag);
-  const std::uint64_t want = meta_of(tag, kValid);
+  const std::uint32_t want = meta_of(tag, kValid);
   std::uint64_t victim = kNoEntry;
   bool victim_invalid = false;
   const std::uint64_t e = scan_set(set * ways_, want, victim, victim_invalid);
   if (e != kNoEntry) {
-    entries_[e].lru = ++clock_;
+    entries_[e].lru = tick();
     return true;
   }
   slot.entry = victim;
@@ -134,13 +138,14 @@ std::optional<SetAssocCache::Eviction> SetAssocCache::install_line_at(
                "line resident at install_line_at: the recorded scan is stale");
   P8_INVARIANT(slot.invalid_way == !(entries_[slot.entry].meta & kValid),
                "slot victim validity changed since it was recorded");
+  std::uint64_t set, tag;
+  split(addr, set, tag);
   const std::uint64_t e = slot.entry;
   std::optional<Eviction> evicted;
   if (!slot.invalid_way)
     evicted = Eviction{line_addr(slot.set, tag_bits(entries_[e].meta)),
                        (entries_[e].meta & kDirty) != 0};
-  entries_[e] = {meta_of(tag_of(addr), kValid | (dirty ? kDirty : 0)),
-                 ++clock_};
+  entries_[e] = {meta_of(tag, kValid | (dirty ? kDirty : 0)), tick()};
   P8_ENSURE(probe(addr), "install_line_at must leave the line resident");
   P8_ENSURE(lru_stamps_distinct(entries_, slot.set * ways_, ways_, kValid),
             "LRU stamps must stay distinct within the installed set");
@@ -171,13 +176,13 @@ std::optional<SetAssocCache::Eviction> SetAssocCache::install_line(
     std::uint64_t addr, bool dirty) {
   std::uint64_t set, tag;
   split(addr, set, tag);
-  const std::uint64_t want = meta_of(tag, kValid);
+  const std::uint32_t want = meta_of(tag, kValid);
   std::uint64_t victim = kNoEntry;
   bool victim_invalid = false;
   // Reuse an existing entry (refresh), then an invalid way, then LRU.
   const std::uint64_t e = scan_set(set * ways_, want, victim, victim_invalid);
   if (e != kNoEntry) {
-    entries_[e].lru = ++clock_;
+    entries_[e].lru = tick();
     if (dirty) entries_[e].meta |= kDirty;
     return std::nullopt;
   }
@@ -185,7 +190,7 @@ std::optional<SetAssocCache::Eviction> SetAssocCache::install_line(
   if (!victim_invalid)
     evicted = Eviction{line_addr(set, tag_bits(entries_[victim].meta)),
                        (entries_[victim].meta & kDirty) != 0};
-  entries_[victim] = {want | (dirty ? kDirty : 0), ++clock_};
+  entries_[victim] = {want | (dirty ? kDirty : 0), tick()};
   P8_ENSURE(probe(addr), "install_line must leave the line resident");
   P8_ENSURE(!evicted || evicted->line != (addr >> line_shift_ << line_shift_),
             "install_line must never report the installed line as evicted");
@@ -211,6 +216,41 @@ bool SetAssocCache::invalidate(std::uint64_t addr) {
   if (e == kNoEntry) return false;
   entries_[e].meta = 0;
   return true;
+}
+
+void SetAssocCache::renumber_stamps() {
+  // Rank order within each set is all replacement ever compares, so
+  // stamps 1..k for a set's k valid ways (invalid ways get 0) keep
+  // every victim choice, and a restarted clock at ways_ issues stamps
+  // above all of them.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> valid;
+  valid.reserve(ways_);
+  for (std::uint64_t base = 0; base < entries_.size(); base += ways_) {
+    valid.clear();
+    for (unsigned w = 0; w < ways_; ++w) {
+      Entry& way = entries_[base + w];
+      if (way.meta & kValid)
+        valid.emplace_back(way.lru, base + w);
+      else
+        way.lru = 0;
+    }
+    std::sort(valid.begin(), valid.end());
+    std::uint32_t rank = 0;
+    for (const auto& [stamp, e] : valid) entries_[e].lru = ++rank;
+    P8_ENSURE(lru_stamps_distinct(entries_, base, ways_, kValid),
+              "renumbering must keep LRU stamps distinct within a set");
+  }
+  clock_ = ways_;
+}
+
+void SetAssocCache::throw_tag_range(std::uint64_t addr) const {
+  char msg[192];
+  std::snprintf(msg, sizeof msg,
+                "address 0x%" PRIx64 " is outside the %" PRIu64
+                "-set, %" PRIu64 "-byte-line cache's reach: its tag "
+                "needs more than %u bits",
+                addr, sets_, line_bytes_, kTagBits);
+  throw std::invalid_argument(msg);
 }
 
 void SetAssocCache::clear() {

@@ -1,22 +1,29 @@
 // Set-associative cache model with true-LRU replacement.
 //
 // This is the building block for every level of the POWER8 hierarchy
-// (L1D, L2, local L3, the NUCA remote-L3 pool, and the Centaur L4).
-// It tracks tags only — the simulator cares about hit/miss behaviour
-// and evictions (for victim forwarding), not data contents.
+// (L1D, L2, local L3, the NUCA remote-L3 pool, and the Centaur L4) and
+// for the ERAT/TLB.  It tracks tags only — the simulator cares about
+// hit/miss behaviour and evictions (for victim forwarding), not data
+// contents.
 //
-// Layout is one flat entry array (row-major by set, each entry a
-// {packed tag+state word, LRU stamp} pair) so a way scan walks one
-// densely packed stream — one host page and one prefetch stream per
-// set probe — and set/tag extraction uses shift/mask when the set
-// count is a power of two — the common case for every POWER8 level —
-// falling back to division only for irregular geometries.
+// Layout is one flat array of 8-byte ways, row-major by set: each way
+// is a 32-bit {tag << 2 | state} word beside a 32-bit LRU stamp, so a
+// 16-way victim-pool or L4 row is 128 B (two host lines) and an 8-way
+// row one host line.  A way scan walks one densely packed stream, and
+// set/tag extraction uses shift/mask when the set count is a power of
+// two — the common case for every POWER8 level — falling back to a
+// multiply-high only for irregular geometries.  Two guards keep the
+// narrow layout exact: split() rejects any address whose tag would
+// not fit in 30 bits (so no two lines can alias), and the 32-bit LRU
+// clock renumbers every stamp by rank before it would wrap (so
+// replacement stays exactly true-LRU).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/hugealloc.hpp"
 
 namespace p8::sim {
@@ -40,7 +47,7 @@ class SetAssocCache {
   bool touch(std::uint64_t addr) {
     const std::uint64_t e = find_way(addr);
     if (e == kNoEntry) return false;
-    entries_[e].lru = ++clock_;
+    entries_[e].lru = tick();
     return true;
   }
 
@@ -136,6 +143,13 @@ class SetAssocCache {
   /// Removes the line if present; returns whether it was present.
   bool invalidate(std::uint64_t addr);
 
+  /// Width of the tag a way holds: tags are line addresses shifted
+  /// down by the line and set bits, and the way's 32-bit word keeps two
+  /// bits for state.  Every cache therefore covers addresses below
+  /// 2^30 * sets() * line_bytes() (2^43 for POWER8's 64-set L1); an
+  /// address past that throws std::invalid_argument from any lookup.
+  static constexpr unsigned kTagBits = 30;
+
   /// Drops all contents (tags, LRU clocks and the global clock all
   /// reset to zero, so post-clear replacement order cannot be skewed
   /// by pre-clear state).
@@ -161,31 +175,43 @@ class SetAssocCache {
   [[gnu::always_inline]] void prefetch_set(std::uint64_t addr) const {
     const std::uint64_t base = set_of(addr) * ways_;
     // A way scan walks the whole set, so hint every host line the
-    // set's entry row spans (16-byte entries, 64-byte host lines).
-    for (unsigned w = 0; w < ways_; w += 4)
+    // set's entry row spans (8-byte entries, 64-byte host lines).
+    for (unsigned w = 0; w < ways_; w += kWaysPerHostLine)
       __builtin_prefetch(&entries_[base + w]);
   }
 
  private:
-  static constexpr std::uint64_t kValid = 1;
-  static constexpr std::uint64_t kDirty = 2;
-  static constexpr std::uint64_t kStateMask = kValid | kDirty;
+  static constexpr std::uint32_t kValid = 1;
+  static constexpr std::uint32_t kDirty = 2;
   static constexpr std::uint64_t kNoEntry = ~std::uint64_t{0};
 
   /// Entry metadata packs the tag and the state bits into one word
   /// ((tag << 2) | state): a way scan issues one load per way instead
-  /// of separate tag and state loads, and the big levels' backing
-  /// arrays shrink by a third — both matter because the victim pool
-  /// and L4 arrays dwarf the host cache.  Tags are line addresses
-  /// shifted down by the line and set bits, so the two spare low bits
-  /// always exist.
-  static constexpr std::uint64_t meta_of(std::uint64_t tag,
-                                         std::uint64_t state) {
-    return (tag << 2) | state;
+  /// of separate tag and state loads.  split() has already checked
+  /// that the tag fits in kTagBits, so the packing is lossless.
+  static constexpr std::uint32_t meta_of(std::uint64_t tag,
+                                         std::uint32_t state) {
+    return static_cast<std::uint32_t>(tag << 2) | state;
   }
-  static constexpr std::uint64_t tag_bits(std::uint64_t meta) {
+  static constexpr std::uint64_t tag_bits(std::uint32_t meta) {
     return meta >> 2;
   }
+
+  /// Next LRU stamp.  Before the 32-bit clock would wrap, every stamp
+  /// is renumbered by its rank within its set (renumber_stamps), which
+  /// keeps each set's recency order and leaves every stamp below the
+  /// next one issued — so replacement is exactly true-LRU, at the cost
+  /// of one pass over the array per 2^32 ticks.
+  std::uint32_t tick() {
+    if (clock_ == ~std::uint32_t{0}) [[unlikely]]
+      renumber_stamps();
+    return ++clock_;
+  }
+  void renumber_stamps();
+
+  /// Cold path of split(): the address's tag does not fit in kTagBits.
+  [[noreturn, gnu::cold, gnu::noinline]] void throw_tag_range(
+      std::uint64_t addr) const;
 
   /// The one way scan behind every mutating lookup: returns the hit
   /// entry, or kNoEntry with `victim` set to the way install_line
@@ -194,7 +220,7 @@ class SetAssocCache {
   /// candidate folds are branchless (conditional moves) because the
   /// LRU comparison outcome is data-random and mispredicted branches
   /// dominated the scan cost.
-  std::uint64_t scan_set(std::uint64_t base, std::uint64_t want,
+  std::uint64_t scan_set(std::uint64_t base, std::uint32_t want,
                          std::uint64_t& victim, bool& victim_invalid) const;
 
   /// floor(line / sets_) for irregular set counts without a hardware
@@ -210,7 +236,9 @@ class SetAssocCache {
 
   /// Set index and tag in one step, sharing the quotient when the set
   /// count is not a power of two (one multiply instead of two
-  /// serialized divides on the way-scan critical path).
+  /// serialized divides on the way-scan critical path).  Every tag is
+  /// formed here, so this is where a tag too wide for the way's word
+  /// is rejected.
   void split(std::uint64_t addr, std::uint64_t& set, std::uint64_t& tag) const {
     const std::uint64_t line = addr >> line_shift_;
     if (sets_pow2_) {
@@ -220,15 +248,13 @@ class SetAssocCache {
       tag = quot(line);
       set = line - tag * sets_;
     }
+    if (tag >> kTagBits) [[unlikely]]
+      throw_tag_range(addr);
   }
 
   std::uint64_t set_of(std::uint64_t addr) const {
     const std::uint64_t line = addr >> line_shift_;
     return sets_pow2_ ? (line & set_mask_) : (line - quot(line) * sets_);
-  }
-  std::uint64_t tag_of(std::uint64_t addr) const {
-    const std::uint64_t line = addr >> line_shift_;
-    return sets_pow2_ ? (line >> set_shift_) : quot(line);
   }
   std::uint64_t line_addr(std::uint64_t set, std::uint64_t tag) const {
     const std::uint64_t line =
@@ -244,7 +270,7 @@ class SetAssocCache {
   std::uint64_t find_way(std::uint64_t addr) const {
     std::uint64_t set, tag;
     split(addr, set, tag);
-    const std::uint64_t want = meta_of(tag, kValid);
+    const std::uint32_t want = meta_of(tag, kValid);
     const std::uint64_t base = set * ways_;
     for (unsigned w = 0; w < ways_; ++w)
       if ((entries_[base + w].meta & ~kDirty) == want) return base + w;
@@ -261,18 +287,26 @@ class SetAssocCache {
   unsigned set_shift_ = 0;       // log2(sets_) when sets_ is a power of two
   std::uint64_t inv_sets_ = 0;   // ceil(2^64 / sets_) when not a power of two
   std::uint64_t div_safe_ = 0;   // largest line quot() handles exactly
-  std::uint64_t clock_ = 0;
+  std::uint32_t clock_ = 0;  // last stamp issued, see tick()
+  /// Lets sim_cache_test start the clock just short of its wrap: a
+  /// real run there takes 2^32 ticks, about 16 s on a 2.1 GHz host.
+  friend struct CacheClockAccess;
   /// One way's metadata and LRU stamp side by side: a way scan reads
   /// both, and keeping them in one row means a set probe touches one
   /// host page and one hardware-prefetch stream instead of two — the
   /// victim-pool/L4 rows are tens of MB probed in data-dependent
-  /// order, where the extra page was a real host-dTLB miss.
+  /// order, where the extra page was a real host-dTLB miss.  At eight
+  /// bytes a way, an e870 probe's arrays — the bytes every probe
+  /// construction zero-fills — come to ~12 MB.
   struct Entry {
-    std::uint64_t meta = 0;  ///< (tag << 2) | state, see meta_of()
-    std::uint64_t lru = 0;   ///< larger = more recently used
+    std::uint32_t meta = 0;  ///< (tag << 2) | state, see meta_of()
+    std::uint32_t lru = 0;   ///< larger = more recently used
   };
-  /// sets_ * ways_ entries, row-major by set, on huge-page-backed
-  /// memory (see hugealloc.hpp).
+  P8_STATIC_REQUIRE(sizeof(Entry) == 8, "a way is two 32-bit words");
+  static constexpr unsigned kWaysPerHostLine = 64 / sizeof(Entry);
+  /// sets_ * ways_ entries, row-major by set; arrays of 2 MiB or more
+  /// get their own huge-page mapping, returned to the kernel when the
+  /// cache is destroyed (see hugealloc.hpp).
   std::vector<Entry, common::HugePageAllocator<Entry>> entries_;
 };
 

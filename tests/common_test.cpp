@@ -2,7 +2,12 @@
 // partitioning, the thread pool and CLI parsing.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -488,6 +493,58 @@ TEST(HugePageAllocator, SmallAndZeroAllocationsStillWork) {
   std::uint64_t* z = alloc.allocate(0);
   ASSERT_NE(z, nullptr);
   alloc.deallocate(z, 0);
+}
+
+TEST(HugePageAllocator, LargeBlocksAreHugePageAligned) {
+  HugePageAllocator<std::uint64_t> alloc;
+  const std::size_t huge = HugePageAllocator<std::uint64_t>::kHugeBytes;
+  for (const std::size_t bytes : {huge, huge + 8, 6 * huge - 8}) {
+    const std::size_t n = bytes / sizeof(std::uint64_t);
+    std::uint64_t* p = alloc.allocate(n);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % huge, 0u) << bytes;
+    p[0] = 1;  // both ends of the block are writable
+    p[n - 1] = 2;
+    alloc.deallocate(p, n);
+  }
+}
+
+/// This process's resident set, from /proc/self/statm (0 if unreadable).
+std::int64_t resident_bytes() {
+  long pages = 0;
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%*s %ld", &pages) != 1) pages = 0;
+    std::fclose(f);
+  }
+  return static_cast<std::int64_t>(pages) * sysconf(_SC_PAGESIZE);
+}
+
+TEST(HugePageAllocator, FreedBlocksLeaveTheProcess) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "AddressSanitizer builds allocate large blocks with "
+                  "aligned_alloc, whose quarantine keeps freed blocks "
+                  "resident by design";
+#endif
+  const std::int64_t before = resident_bytes();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/statm on this host";
+  // 32 cycles of 64 MiB, as eight 8 MiB arrays (an e870 probe's L4
+  // array), each followed by a small heap block that stays live: a
+  // heap-backed allocator could neither trim those arrays nor reuse
+  // them without keeping them resident.
+  using Block = std::vector<std::uint64_t, HugePageAllocator<std::uint64_t>>;
+  std::vector<void*> pins;
+  for (int cycle = 0; cycle < 32; ++cycle) {
+    std::vector<Block> blocks;
+    for (int b = 0; b < 8; ++b) {
+      blocks.emplace_back(mib(8) / sizeof(std::uint64_t));  // zero-filled
+      pins.push_back(std::malloc(64));
+    }
+  }
+  const std::int64_t after = resident_bytes();
+  for (void* p : pins) std::free(p);
+  EXPECT_LT(after - before, std::int64_t{8} << 20)
+      << "resident grew from " << (before >> 20) << " MiB to "
+      << (after >> 20) << " MiB over 2 GiB of alloc/free";
 }
 
 // ------------------------------------------------------------ contracts ----

@@ -49,33 +49,6 @@ TEST(Csr, OutOfRangeTripletRejected) {
                std::invalid_argument);
 }
 
-TEST(Csr, TransposeSmallKnown) {
-  const CsrMatrix m = CsrMatrix::from_triplets(
-      2, 3, {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, 3.0}});
-  const CsrMatrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_TRUE(t.well_formed());
-  EXPECT_DOUBLE_EQ(t.row_values(0)[0], 1.0);
-  EXPECT_EQ(t.row_cols(1)[0], 1u);
-  EXPECT_DOUBLE_EQ(t.row_values(2)[0], 2.0);
-}
-
-TEST(Csr, TransposeIsInvolution) {
-  const CsrMatrix m = random_uniform(200, 5, 99);
-  const CsrMatrix tt = m.transposed().transposed();
-  ASSERT_EQ(tt.nnz(), m.nnz());
-  for (std::uint32_t r = 0; r < m.rows(); ++r) {
-    const auto a = m.row_cols(r);
-    const auto b = tt.row_cols(r);
-    ASSERT_EQ(a.size(), b.size()) << "row " << r;
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k], b[k]);
-      EXPECT_DOUBLE_EQ(m.row_values(r)[k], tt.row_values(r)[k]);
-    }
-  }
-}
-
 TEST(Csr, MemoryBytesAccounting) {
   const CsrMatrix m = random_uniform(100, 4, 1);
   EXPECT_EQ(m.memory_bytes(),

@@ -1,16 +1,27 @@
 // Tests for the cache, TLB and hierarchy simulators.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "arch/spec.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "proptest.hpp"
 #include "sim/cache/cache.hpp"
 #include "sim/cache/hierarchy.hpp"
 #include "sim/cache/tlb.hpp"
 
 namespace p8::sim {
+
+/// The stamp clock, for the wrap test below (a friend of SetAssocCache).
+struct CacheClockAccess {
+  static std::uint32_t get(const SetAssocCache& c) { return c.clock_; }
+  static void set(SetAssocCache& c, std::uint32_t clock) { c.clock_ = clock; }
+};
+
 namespace {
 
 using common::kib;
@@ -451,6 +462,233 @@ TEST(CacheFuzz, RandomOpsPreserveInvariants) {
     ASSERT_EQ(cache.resident_lines(), resident.size());
     ASSERT_LE(cache.resident_lines(), kib(4) / 64);
   }
+}
+
+// ------------------------------------------------- 8-byte way layout ----
+
+/// Test-local true-LRU reference: full line addresses and 64-bit
+/// stamps, none of SetAssocCache's packing.  The packed 32-bit ways
+/// must reproduce its every hit, victim and eviction.
+class WideLru {
+ public:
+  WideLru(std::uint64_t sets, unsigned ways, std::uint64_t line_bytes)
+      : sets_(sets), ways_(ways), line_bytes_(line_bytes), way_(sets * ways) {}
+
+  bool touch(std::uint64_t addr) {
+    Way* w = find(addr);
+    if (w == nullptr) return false;
+    w->stamp = ++clock_;
+    return true;
+  }
+
+  std::optional<SetAssocCache::Eviction> install_line(std::uint64_t addr,
+                                                      bool dirty) {
+    if (Way* w = find(addr)) {
+      w->stamp = ++clock_;
+      w->dirty |= dirty;
+      return std::nullopt;
+    }
+    Way& v = victim(addr);
+    std::optional<SetAssocCache::Eviction> evicted;
+    if (v.valid) evicted = SetAssocCache::Eviction{v.line, v.dirty};
+    v = {true, dirty, line_of(addr), ++clock_};
+    return evicted;
+  }
+
+  std::optional<bool> take(std::uint64_t addr) {
+    Way* w = find(addr);
+    if (w == nullptr) return std::nullopt;
+    w->valid = false;
+    return w->dirty;
+  }
+
+  bool invalidate(std::uint64_t addr) { return take(addr).has_value(); }
+  bool probe(std::uint64_t addr) { return find(addr) != nullptr; }
+  bool is_dirty(std::uint64_t addr) {
+    const Way* w = find(addr);
+    return w != nullptr && w->dirty;
+  }
+
+  /// Line an install of absent `addr` would evict, or kNoVictim.
+  std::uint64_t victim_line(std::uint64_t addr) {
+    const Way& v = victim(addr);
+    return v.valid ? v.line : SetAssocCache::kNoVictim;
+  }
+
+  std::uint64_t resident_lines() const {
+    std::uint64_t n = 0;
+    for (const Way& w : way_) n += w.valid;
+    return n;
+  }
+
+ private:
+  struct Way {
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t line = 0;  ///< line-aligned address
+    std::uint64_t stamp = 0;
+  };
+
+  std::uint64_t line_of(std::uint64_t addr) const {
+    return addr / line_bytes_ * line_bytes_;
+  }
+  Way* row(std::uint64_t addr) {
+    return &way_[(addr / line_bytes_ % sets_) * ways_];
+  }
+  Way* find(std::uint64_t addr) {
+    Way* r = row(addr);
+    for (unsigned w = 0; w < ways_; ++w)
+      if (r[w].valid && r[w].line == line_of(addr)) return &r[w];
+    return nullptr;
+  }
+  /// First invalid way, else the least recently used.
+  Way& victim(std::uint64_t addr) {
+    Way* r = row(addr);
+    Way* oldest = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (!r[w].valid) return r[w];
+      if (oldest == nullptr || r[w].stamp < oldest->stamp) oldest = &r[w];
+    }
+    return *oldest;
+  }
+
+  std::uint64_t sets_;
+  unsigned ways_;
+  std::uint64_t line_bytes_;
+  std::vector<Way> way_;
+  std::uint64_t clock_ = 0;
+};
+
+void expect_same_eviction(const std::optional<SetAssocCache::Eviction>& got,
+                          const std::optional<SetAssocCache::Eviction>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (got) {
+    EXPECT_EQ(got->line, want->line);
+    EXPECT_EQ(got->dirty, want->dirty);
+  }
+}
+
+/// One random operation on both models: touch, install, the victim
+/// pool's take-on-migrate, invalidate, touch_slot + install_line_at,
+/// demand access, or the read-only probes.
+void random_op(proptest::Gen& gen, const std::vector<std::uint64_t>& pool,
+               SetAssocCache& cache, WideLru& ref) {
+  const std::uint64_t addr = pool[gen.range(0, pool.size() - 1)];
+  const bool dirty = gen.chance(0.3);
+  switch (gen.range(0, 6)) {
+    case 0:
+      ASSERT_EQ(cache.touch(addr), ref.touch(addr));
+      break;
+    case 1:
+      expect_same_eviction(cache.install_line(addr, dirty),
+                           ref.install_line(addr, dirty));
+      break;
+    case 2:
+      ASSERT_EQ(cache.take(addr), ref.take(addr));
+      break;
+    case 3:
+      ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr));
+      break;
+    case 4: {
+      SetAssocCache::Slot slot;
+      const bool hit = cache.touch_slot(addr, slot);
+      ASSERT_EQ(hit, ref.touch(addr));
+      if (hit) break;
+      ASSERT_EQ(cache.slot_victim_line(slot), ref.victim_line(addr));
+      expect_same_eviction(cache.install_line_at(slot, addr, dirty),
+                           ref.install_line(addr, dirty));
+      break;
+    }
+    case 5: {
+      const bool hit = ref.touch(addr);
+      const auto evicted = hit ? std::nullopt : ref.install_line(addr, false);
+      const auto r = cache.access(addr);
+      ASSERT_EQ(r.hit, hit);
+      ASSERT_EQ(r.evicted.has_value(), evicted.has_value());
+      if (evicted) {
+        EXPECT_EQ(*r.evicted, evicted->line);
+      }
+      break;
+    }
+    default:
+      ASSERT_EQ(cache.probe(addr), ref.probe(addr));
+      ASSERT_EQ(cache.is_dirty(addr), ref.is_dirty(addr));
+      break;
+  }
+}
+
+TEST(CacheProperty, PackedWaysMatchWideReference) {
+  P8_PROP(gen, 60, 0x8b17e5) {
+    const unsigned ways = gen.pick({16u, 8u});
+    const std::uint64_t sets = gen.pick<std::uint64_t>({1, 4, 6, 64});
+    const std::uint64_t line = 128;
+    SetAssocCache cache(sets * ways * line, ways, line);
+    WideLru ref(sets, ways, line);
+    // Three times the capacity in distinct-enough lines, spread over
+    // the whole 30-bit tag range so every packed tag bit is exercised.
+    std::vector<std::uint64_t> pool(sets * ways * 3);
+    const std::uint64_t reach_lines =
+        (std::uint64_t{1} << SetAssocCache::kTagBits) * sets;
+    for (auto& a : pool)
+      a = gen.range(0, reach_lines - 1) * line + gen.range(0, line - 1);
+    for (int op = 0; op < 4000 && !::testing::Test::HasFailure(); ++op)
+      random_op(gen, pool, cache, ref);
+    EXPECT_EQ(cache.resident_lines(), ref.resident_lines());
+  }
+}
+
+TEST(CacheProperty, LruOrderSurvivesTheStampClockWrap) {
+  // 2 sets x 4 ways under heavy churn.  Partway through, the clock
+  // jumps to just short of its 32-bit wrap — a forward jump keeps every
+  // stamp below the clock, as 2^32 real ticks would — and the run goes
+  // on across the wrap twice, checked op by op against the reference.
+  const std::uint64_t sets = 2, line = 64;
+  const unsigned ways = 4;
+  SetAssocCache cache(sets * ways * line, ways, line);
+  WideLru ref(sets, ways, line);
+  proptest::Gen gen(0x3a91c7);
+  std::vector<std::uint64_t> pool(sets * ways * 3);
+  for (std::size_t i = 0; i < pool.size(); ++i) pool[i] = i * line;
+  for (int wrap = 0; wrap < 2 && !HasFailure(); ++wrap) {
+    for (int op = 0; op < 3000 && !HasFailure(); ++op)
+      random_op(gen, pool, cache, ref);
+    // Both sets full, in a scrambled recency order, at the wrap.
+    for (const std::uint64_t a : pool) {
+      expect_same_eviction(cache.install_line(a, false),
+                           ref.install_line(a, false));
+    }
+    CacheClockAccess::set(cache, ~std::uint32_t{0} - 100);
+    for (int op = 0; op < 3000 && !HasFailure(); ++op)
+      random_op(gen, pool, cache, ref);
+    EXPECT_LT(CacheClockAccess::get(cache), 10000u) << "the clock never wrapped";
+  }
+  EXPECT_EQ(cache.resident_lines(), ref.resident_lines());
+}
+
+TEST(Cache, TagPastThirtyBitsThrows) {
+  // POWER8's L1: 64 sets of 128-byte lines reach 2^30 * 64 * 128 = 2^43.
+  SetAssocCache l1(kib(64), 8, 128);
+  const std::uint64_t reach = std::uint64_t{1} << 43;
+  EXPECT_FALSE(l1.access(reach - 128).hit);
+  EXPECT_TRUE(l1.probe(reach - 1));
+  EXPECT_THROW(l1.access(reach), std::invalid_argument);
+  EXPECT_THROW(l1.probe(reach), std::invalid_argument);
+  EXPECT_THROW(l1.touch(reach), std::invalid_argument);
+  EXPECT_THROW(l1.touch_install(reach), std::invalid_argument);
+  EXPECT_THROW(l1.install_line(reach, true), std::invalid_argument);
+  EXPECT_THROW(l1.take(reach), std::invalid_argument);
+  EXPECT_THROW(l1.invalidate(reach), std::invalid_argument);
+  SetAssocCache::Slot slot;
+  EXPECT_THROW(l1.touch_slot(reach, slot), std::invalid_argument);
+  EXPECT_FALSE(slot.recorded);
+  EXPECT_EQ(l1.resident_lines(), 1u);  // the rejected calls changed nothing
+  // The bound follows the geometry, irregular set counts included:
+  // 3 sets of 64-byte lines reach 2^30 * 3 * 64.
+  SetAssocCache odd(3 * 2 * 64, 2, 64);
+  const std::uint64_t odd_reach = (std::uint64_t{1} << 30) * 3 * 64;
+  EXPECT_FALSE(odd.access(odd_reach - 1).hit);
+  EXPECT_TRUE(odd.probe(odd_reach - 64));
+  EXPECT_THROW(odd.access(odd_reach), std::invalid_argument);
 }
 
 TEST(HierarchyFuzz, LookupAlwaysConsistentWithAccess) {

@@ -6,6 +6,7 @@
 // BatchStats, clock and counters to replaying the same stream in
 // memory, at chunk size 1, a non-divisor size and a huge size.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -382,6 +383,33 @@ TEST(TraceCorruption, MissingFileReportsCannotOpen) {
   expect_trace_error(
       [&] { TraceReader reader(temp_path("does-not-exist.p8t")); },
       "cannot open");
+}
+
+// ---------------------------------------------------------------------------
+// The p8trace CLI on a well-formed trace the simulator cannot replay.
+
+TEST(TraceCli, ReplayPastTheCacheTagRangeExitsOneWithAnError) {
+  // The second access lies past the e870 caches' reach (2^43 bytes for
+  // the 64-set L1): the reader accepts the file, the cache rejects the
+  // address, and the tool must report it and exit 1, not abort.
+  const std::string path = temp_path("past_tag_range.p8t");
+  write_trace(path,
+              {{TraceOp::kAccess, 4096},
+               {TraceOp::kAccess, std::uint64_t{1} << 50}},
+              64);
+  const std::string command = std::string(P8TRACE_BIN) +
+                              " replay --workload=seq-scan --in=" + path +
+                              " 2>&1";
+  std::FILE* out = popen(command.c_str(), "r");
+  ASSERT_NE(out, nullptr);
+  std::string text;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, out) != nullptr) text += buf;
+  const int status = pclose(out);
+  ASSERT_TRUE(WIFEXITED(status)) << text;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << text;
+  EXPECT_NE(text.find("error: "), std::string::npos) << text;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "bench_util.hpp"
@@ -218,6 +219,11 @@ int cmd_replay(common::ArgParser& args) {
                   counters_path.empty() ? nullptr : &registry, counters_path,
                   json_path);
   } catch (const trace::TraceError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const std::invalid_argument& e) {
+    // A well-formed trace can still hold an address past the simulated
+    // caches' tag range (sim::SetAssocCache::kTagBits).
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -20,8 +20,9 @@ int main(int argc, char** argv) {
   bench::print_header("Validation",
                       "event-driven simulation vs analytic model vs paper");
 
-  const auto cfg = sim::TrafficConfig::from_spec(arch::e870());
   const sim::MemoryBandwidthModel analytic(arch::e870());
+  const auto cfg = sim::TrafficConfig::from_spec(arch::e870(),
+                                                 analytic.params());
 
   auto stream_actors = [&](int chips, int cores, int smt,
                            double write_fraction) {

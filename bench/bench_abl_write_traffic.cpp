@@ -1,8 +1,10 @@
 // Ablation: where does the 2:1 read:write mix come from?  Traces the
 // four STREAM kernels through the cache hierarchy (store-through L1,
 // write-allocating store-in L2) and reports the read:write ratio that
-// actually reaches the Centaur links, plus the Table III bandwidth
-// the mix model predicts at that ratio.
+// actually reaches the Centaur links — the hierarchy's
+// cache.memlink.read/write.lines counters over the steady-state half
+// — plus the Table III bandwidth the mix model predicts at that ratio.
+#include <algorithm>
 #include <cstdio>
 
 #include "arch/spec.hpp"
@@ -10,6 +12,7 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "sim/cache/hierarchy.hpp"
+#include "sim/counters.hpp"
 #include "sim/mem/bandwidth.hpp"
 
 int main(int argc, char** argv) {
@@ -20,6 +23,8 @@ int main(int argc, char** argv) {
       "Ablation", "STREAM kernels through the cache model: link-level R:W");
 
   const sim::MemoryBandwidthModel bw(arch::e870());
+  const sim::HierarchyConfig hierarchy =
+      sim::HierarchyConfig::from_spec(arch::e870(), sim::NocParams{});
 
   struct Kernel {
     const char* name;
@@ -39,38 +44,31 @@ int main(int argc, char** argv) {
   common::TextTable t({"Kernel", "link reads/line", "link writes/line",
                        "R:W at links", "Table III bandwidth (GB/s)"});
   for (const auto& k : kernels) {
-    sim::ChipMemoryModel model(
-        sim::HierarchyConfig::from_spec(arch::e870()));
+    sim::ChipMemoryModel model(hierarchy);
     const std::uint64_t total = common::mib(128) / 128;
     const std::uint64_t lines = total / 2;  // second half = steady state
+    sim::CounterRegistry steady;
     for (std::uint64_t l = 0; l < total; ++l) {
-      if (l == lines) model.reset_counters();
+      if (l == lines) model.attach_counters(&steady);
       for (int r = 0; r < k.reads; ++r)
         model.access((static_cast<std::uint64_t>(r + 1) << 33) + l * 128);
-      for (int w = 0; w < k.writes; ++w) {
-        const std::uint64_t addr =
-            (static_cast<std::uint64_t>(w + 8) << 33) + l * 128;
-        if (k.allocating) {
-          model.access_write(addr);
-        } else {
-          // dcbz: establish the line dirty without fetching it.  The
-          // model has no dedicated hook; emulate by counting the write
-          // side only (skip the allocate read by touching nothing).
-          model.access_write(addr);
-        }
-      }
+      // A dcbz store establishes the line dirty without fetching it.
+      // The model has no such hook, so every kernel stores through
+      // access_write and the dcbz row drops the allocate reads below.
+      for (int w = 0; w < k.writes; ++w)
+        model.access_write((static_cast<std::uint64_t>(w + 8) << 33) +
+                           l * 128);
     }
-    auto counters = model.counters();
+    std::uint64_t link_reads = steady.value("cache.memlink.read.lines");
+    const std::uint64_t link_writes =
+        steady.value("cache.memlink.write.lines");
     if (!k.allocating) {
       // Remove the allocate fetches a dcbz kernel would not issue.
-      counters.memlink_line_reads -=
-          std::min(counters.memlink_line_reads,
-                   static_cast<std::uint64_t>(k.writes) * lines);
+      link_reads -= std::min(link_reads,
+                             static_cast<std::uint64_t>(k.writes) * lines);
     }
-    const double reads_per_line =
-        static_cast<double>(counters.memlink_line_reads) / lines;
-    const double writes_per_line =
-        static_cast<double>(counters.memlink_line_writes) / lines;
+    const double reads_per_line = static_cast<double>(link_reads) / lines;
+    const double writes_per_line = static_cast<double>(link_writes) / lines;
     const double ratio =
         writes_per_line > 0 ? reads_per_line / writes_per_line : 0.0;
     const double predicted =

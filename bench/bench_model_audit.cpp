@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       sim::ModelAudit::machine(spec, mem_params, noc_params);
   if (perturb) {
     sim::ProbeConfig probe;
-    probe.hierarchy = sim::HierarchyConfig::from_spec(spec);
+    probe.hierarchy = sim::HierarchyConfig::from_spec(spec, noc_params);
     probe.prefetch.line_bytes = spec.processor.cache_line_bytes;
     std::swap(probe.hierarchy.latency.l2_ns, probe.hierarchy.latency.l3_local_ns);
     probe.hierarchy.l1_bytes = 96 * 1024;  // 96 sets: not a power of two

@@ -100,7 +100,8 @@ MachineDiff run_machine(const std::string& selector,
   router.attach_counters(&counters);
 
   const arch::SystemSpec& s = spec.system;
-  const std::vector<bench::Landmark> marks = bench::hierarchy_landmarks(s);
+  const std::vector<bench::Landmark> marks =
+      bench::hierarchy_landmarks(machine.hierarchy());
 
   // ---- Fig. 2 landmarks: simulated chase vs closed form ----------------
   common::Timer sim_timer;

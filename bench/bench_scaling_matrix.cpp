@@ -86,9 +86,8 @@ void check(MachineReport& r, const std::string& invariant, bool ok,
 // -------------------------------------------------------------------
 
 /// Fig. 2: latency at each hierarchy landmark (prefetch off).
-void analyze_latency(MachineReport& r, const sim::Machine& machine,
-                     const arch::SystemSpec& s) {
-  r.marks = bench::hierarchy_landmarks(s);
+void analyze_latency(MachineReport& r, const sim::Machine& machine) {
+  r.marks = bench::hierarchy_landmarks(machine.hierarchy());
   std::vector<std::uint64_t> sizes;
   for (const Landmark& m : r.marks) sizes.push_back(m.bytes);
   for (const auto& point :
@@ -301,7 +300,7 @@ int main(int argc, char** argv) {
         [&job] { job.machine.emplace(job.spec.machine()); });
     const common::TaskId lat = graph.add(
         job.selector + ":latency",
-        [&job] { analyze_latency(job.report, *job.machine, job.spec.system); },
+        [&job] { analyze_latency(job.report, *job.machine); },
         {build});
     const common::TaskId bw = graph.add(
         job.selector + ":bandwidth",

@@ -329,24 +329,23 @@ struct Landmark {
 };
 
 /// Working-set sizes that land in the middle of each hierarchy level
-/// the spec actually has (a level missing from a configuration — e.g.
-/// an L4 smaller than the chip L3 — is skipped, not asserted).  Shared
-/// by bench_scaling_matrix (shape invariants) and bench_predict (the
-/// differential matrix), so both gates probe the same geometry.
-inline std::vector<Landmark> hierarchy_landmarks(const arch::SystemSpec& s) {
-  const std::uint64_t l1 = s.processor.core.l1d_bytes;
-  const std::uint64_t l2 = s.processor.core.l2_bytes;
-  const std::uint64_t l3 = s.processor.core.l3_bytes;
-  const std::uint64_t chip_l3 = s.processor.l3_total_bytes(s.cores_per_chip);
-  const std::uint64_t l4_chip =
-      static_cast<std::uint64_t>(s.centaurs_per_chip) * s.centaur.l4_bytes;
+/// the machine actually has (a level missing from a configuration —
+/// e.g. an L4 smaller than the chip L3 — is skipped, not asserted).
+/// Shared by bench_scaling_matrix (shape invariants) and bench_predict
+/// (the differential matrix), so both gates probe the same geometry:
+/// the one the simulator builds (Machine::hierarchy()).
+inline std::vector<Landmark> hierarchy_landmarks(
+    const sim::HierarchyConfig& h) {
+  const std::uint64_t chip_l3 = h.chip_l3_bytes();
   std::vector<Landmark> out;
-  out.push_back({"L1", l1 / 2});
-  if (l2 > l1) out.push_back({"L2", l2 / 2});
-  if (l3 > l2) out.push_back({"L3", l3 / 2});
-  if (chip_l3 > l3) out.push_back({"chip-L3", (l3 + chip_l3) / 2});
-  if (l4_chip > chip_l3) out.push_back({"L4", (chip_l3 + l4_chip) / 2});
-  std::uint64_t deepest = chip_l3 > l4_chip ? chip_l3 : l4_chip;
+  out.push_back({"L1", h.l1_bytes / 2});
+  if (h.l2_bytes > h.l1_bytes) out.push_back({"L2", h.l2_bytes / 2});
+  if (h.l3_bytes > h.l2_bytes) out.push_back({"L3", h.l3_bytes / 2});
+  if (chip_l3 > h.l3_bytes)
+    out.push_back({"chip-L3", (h.l3_bytes + chip_l3) / 2});
+  if (h.l4_bytes > chip_l3)
+    out.push_back({"L4", (chip_l3 + h.l4_bytes) / 2});
+  const std::uint64_t deepest = chip_l3 > h.l4_bytes ? chip_l3 : h.l4_bytes;
   out.push_back({"DRAM", 4 * deepest});
   return out;
 }

@@ -131,6 +131,13 @@ diff -u BENCH_fidelity.json build/BENCH_fidelity.json
   --json build/BENCH_predict.json
 diff -u BENCH_predict.json build/BENCH_predict.json
 
+# The same gate on an audit-clean spec that is no preset (e870-centaur4
+# with a 32 MB L4 per Centaur and a 110 ns local DRAM): the tiers must
+# agree wherever the router says they do, not only at the calibrated
+# points.
+./build/bench/bench_predict --machines=tests/specs/e870-centaur4-l4-32m.json \
+  --gate
+
 # Serving gate: a real p8serve daemon driven over its socket must
 # answer byte-identically to the direct two-tier stack on all five
 # presets, clear the >=90% hit-rate floor on the duplicate-heavy

@@ -9,32 +9,26 @@
 namespace p8::predict {
 
 Predictor::Predictor(const sim::MachineSpec& spec)
-    : spec_(spec),
-      machine_(spec.machine()),
-      hier_(sim::HierarchyConfig::from_spec(spec.system)) {
-  // The Fig. 2 staircase: cumulative capacity of each service level.
-  // A level whose capacity does not exceed its parent's (an ablated L4
-  // on e870-centaur4, a single-core chip's empty victim pool) adds no
-  // step and folds away, mirroring the simulated curve.
+    : spec_(spec), machine_(spec.machine()) {
+  // The Fig. 2 staircase: cumulative capacity of each service level,
+  // read off the hierarchy the simulator's probes are built from.  A
+  // level whose capacity does not exceed its parent's (the L4 of
+  // e870-centaur4, no larger than the chip L3; a single-core chip's
+  // empty victim pool) adds no step and folds away, mirroring the
+  // simulated curve.
   const auto push = [this](sim::ServiceLevel level, std::uint64_t cap,
                            double latency) {
     if (level_count_ > 0 && cap <= levels_[level_count_ - 1].capacity_bytes)
       return;
     levels_[level_count_++] = Level{level, cap, latency};
   };
-  const sim::HierarchyLatencies& lat = hier_.latency;
-  push(sim::ServiceLevel::kL1, hier_.l1_bytes, lat.l1_ns);
-  push(sim::ServiceLevel::kL2, hier_.l2_bytes, lat.l2_ns);
-  push(sim::ServiceLevel::kL3Local, hier_.l3_bytes, lat.l3_local_ns);
-  if (hier_.victim_l3 && hier_.chip_cores > 1)
-    push(sim::ServiceLevel::kL3Remote,
-         hier_.l3_bytes * static_cast<std::uint64_t>(hier_.chip_cores),
-         lat.l3_remote_ns);
-  if (hier_.l4_enabled && hier_.centaurs > 0)
-    push(sim::ServiceLevel::kL4,
-         spec.system.centaur.l4_bytes *
-             static_cast<std::uint64_t>(hier_.centaurs),
-         lat.l4_ns);
+  const sim::HierarchyConfig& hier = machine_.hierarchy();
+  const sim::HierarchyLatencies& lat = hier.latency;
+  push(sim::ServiceLevel::kL1, hier.l1_bytes, lat.l1_ns);
+  push(sim::ServiceLevel::kL2, hier.l2_bytes, lat.l2_ns);
+  push(sim::ServiceLevel::kL3Local, hier.l3_bytes, lat.l3_local_ns);
+  push(sim::ServiceLevel::kL3Remote, hier.chip_l3_bytes(), lat.l3_remote_ns);
+  push(sim::ServiceLevel::kL4, hier.l4_bytes, lat.l4_ns);
   push(sim::ServiceLevel::kDram,
        std::numeric_limits<std::uint64_t>::max(), lat.dram_ns);
   P8_ENSURE(level_count_ >= 2 && level_count_ <= levels_.size(),
@@ -46,14 +40,15 @@ sim::ServiceLevel Predictor::plateau_level(
   // The cyclic chase revisits a line exactly one working-set later, so
   // the deepest level whose cumulative capacity covers the footprint
   // serves every steady-state access.
-  const std::uint64_t f = std::max(footprint_bytes, hier_.line_bytes);
+  const std::uint64_t f =
+      std::max(footprint_bytes, machine_.hierarchy().line_bytes);
   for (std::size_t i = 0; i + 1 < level_count_; ++i)
     if (f <= levels_[i].capacity_bytes) return levels_[i].level;
   return levels_[level_count_ - 1].level;
 }
 
 double Predictor::service_latency_ns(sim::ServiceLevel level) const {
-  return hier_.latency.of(level);
+  return machine_.hierarchy().latency.of(level);
 }
 
 double Predictor::tlb_penalty_ns(std::uint64_t footprint_bytes,
@@ -175,6 +170,8 @@ double QueryRouter::simulate(const Query& query) {
       options.stride_lines = query.stride_lines;
       options.dscr = query.dscr;
       options.page_bytes = query.page_bytes;
+      options.consumer_chip = query.consumer_chip;
+      options.home_chip = query.home_chip;
       return ubench::stride_latency_ns(machine(), options);
     }
     case Query::Kind::kStreamBandwidth:

@@ -109,7 +109,6 @@ class Predictor {
  private:
   sim::MachineSpec spec_;
   sim::Machine machine_;
-  sim::HierarchyConfig hier_;
   sim::TlbConfig tlb_;
   std::size_t level_count_ = 0;
   std::array<Level, 6> levels_{};

@@ -47,9 +47,7 @@ SpmvPrediction predict_csr_spmv(const graph::CsrMatrix& a,
   // core's hierarchy.  x lives at address 0..8*cols; the matrix stream
   // itself is one-pass and bypasses the replay (its traffic is
   // accounted analytically below).
-  sim::HierarchyConfig hier =
-      sim::HierarchyConfig::from_spec(machine.spec());
-  sim::ChipMemoryModel cache(hier);
+  sim::ChipMemoryModel cache(machine.hierarchy());
 
   std::uint64_t sampled = 0;
   std::uint64_t hits = 0;
@@ -160,16 +158,14 @@ SpmvPrediction predict_csr_spmv_shape(std::uint64_t n, std::uint64_t nnz,
   // fraction is the cache-resident share of x.  Usable capacity: the
   // chip L3 plus the memory-side L4, discounted for competition with
   // the streaming matrix.
-  const auto& spec = machine.spec();
+  const sim::HierarchyConfig& hier = machine.hierarchy();
   const double cache_bytes =
-      0.8 * (static_cast<double>(spec.processor.l3_total_bytes(
-                 spec.cores_per_chip)) +
-             static_cast<double>(spec.centaurs_per_chip) * (16.0 * 1024 * 1024));
+      0.8 * (static_cast<double>(hier.chip_l3_bytes()) +
+             static_cast<double>(hier.l4_bytes));
   const double x_bytes = 8.0 * static_cast<double>(n);
   p.x_hit_fraction = std::min(1.0, cache_bytes / x_bytes);
 
-  const double line =
-      static_cast<double>(spec.processor.cache_line_bytes);
+  const double line = static_cast<double>(hier.line_bytes);
   const double rows_per_nnz =
       static_cast<double>(n) / static_cast<double>(nnz);
   const double read_bytes = 12.0 + (1.0 - p.x_hit_fraction) * line +

@@ -402,6 +402,7 @@ void Server::start() {
 
 void Server::accept_loop() {
   while (!stop_.load()) {
+    reap_connections();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kPollMillis);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the flag
@@ -412,8 +413,23 @@ void Server::accept_loop() {
       connections_.add();
     }
     std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    Connection& connection = connection_threads_.emplace_back();
+    connection.thread = std::thread([this, fd, &connection] {
+      connection_loop(fd);
+      connection.done.store(true);
+    });
   }
+}
+
+void Server::reap_connections() {
+  std::lock_guard<std::mutex> lock(threads_mutex_);
+  for (auto it = connection_threads_.begin(); it != connection_threads_.end();)
+    if (it->done.load()) {
+      it->thread.join();
+      it = connection_threads_.erase(it);
+    } else {
+      ++it;
+    }
 }
 
 void Server::connection_loop(int fd) {
@@ -485,12 +501,12 @@ void Server::wait() {
   if (!started_) return;
   stop_.store(true);
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
     connections.swap(connection_threads_);
   }
-  for (std::thread& t : connections) t.join();
+  for (Connection& c : connections) c.thread.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -29,7 +29,8 @@
 //
 // Transport is line-delimited JSON over a local Unix-domain stream
 // socket (protocol.hpp, docs/SERVE.md).  Every connection gets its
-// own thread; all loops poll with a short timeout and honour the stop
+// own thread, which the accept loop joins soon after the connection
+// closes; all loops poll with a short timeout and honour the stop
 // flag, so `stop()` (or a "shutdown" request) winds the daemon down
 // without killing in-flight work.  A stale socket file left by a
 // crashed daemon is detected (connect() refused) and reclaimed; a
@@ -127,8 +128,18 @@ class Server {
   /// evicting as needed).
   std::shared_ptr<MachineState> resolve_machine(const Request& request);
 
+  /// One connection's thread.  `done` is its last write, so a thread
+  /// that has set it is finished and joins without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   std::string handle_query(const Request& request);
   void accept_loop();
+  /// Joins and forgets the connection threads that have finished, so a
+  /// long-running daemon holds threads only for live connections.
+  void reap_connections();
   void connection_loop(int fd);
   void count_error();
   void count_latency(double seconds);
@@ -161,7 +172,7 @@ class Server {
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
+  std::list<Connection> connection_threads_;  ///< stable addresses
   bool started_ = false;
 };
 

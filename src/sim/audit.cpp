@@ -100,13 +100,20 @@ AuditReport ModelAudit::hierarchy(const HierarchyConfig& c) {
   // Demand-indexed, per-core levels index by shift/mask and must have
   // power-of-two set counts (they do on POWER8).  The victim pool and
   // L4 are capacity aggregates over (cores-1) regions / N Centaurs and
-  // legitimately end up with irregular set counts.
+  // legitimately end up with irregular set counts, but they still
+  // need whole sets — the cache constructor would throw otherwise.
   check_level_geometry(report, "L1", c.l1_bytes, c.l1_ways, c.line_bytes,
                        /*want_pow2_sets=*/true);
   check_level_geometry(report, "L2", c.l2_bytes, c.l2_ways, c.line_bytes,
                        /*want_pow2_sets=*/true);
   check_level_geometry(report, "L3", c.l3_bytes, c.l3_ways, c.line_bytes,
                        /*want_pow2_sets=*/true);
+  if (c.victim_l3 && c.victim_bytes() > 0)
+    check_level_geometry(report, "victim pool", c.victim_bytes(),
+                         HierarchyConfig::kPoolWays, c.line_bytes,
+                         /*want_pow2_sets=*/false);
+  check_level_geometry(report, "L4", c.l4_bytes, HierarchyConfig::kPoolWays,
+                       c.line_bytes, /*want_pow2_sets=*/false);
   if (!(c.l1_bytes < c.l2_bytes && c.l2_bytes < c.l3_bytes))
     report.add(AuditSeverity::kError, "hierarchy.capacity-order",
                fmt("capacities must grow away from the core: "
@@ -124,11 +131,9 @@ AuditReport ModelAudit::hierarchy(const HierarchyConfig& c) {
                    "L3 %.2f, L3(remote) %.2f, L4 %.2f, DRAM %.2f ns",
                    l.l1_ns, l.l2_ns, l.l3_local_ns, l.l3_remote_ns, l.l4_ns,
                    l.dram_ns));
-  if (c.chip_cores < 1 || c.centaurs < 1)
+  if (c.chip_cores < 1)
     report.add(AuditSeverity::kError, "hierarchy.shape",
-               fmt("chip needs at least one core and one Centaur "
-                   "(got %d cores, %d Centaurs)",
-                   c.chip_cores, c.centaurs));
+               fmt("chip needs at least one core (got %d)", c.chip_cores));
   return report;
 }
 
@@ -354,21 +359,12 @@ AuditReport ModelAudit::machine(const arch::SystemSpec& spec,
   report.merge(bandwidth(spec, mem_params));
   report.merge(noc(noc_params));
   // The probe stack this spec implies (what Machine::probe builds with
-  // default options).
+  // default options).  Its DRAM service latency is the NoC's local
+  // DRAM latency, so the two cannot drift apart.
   ProbeConfig probe;
-  probe.hierarchy = HierarchyConfig::from_spec(spec);
+  probe.hierarchy = HierarchyConfig::from_spec(spec, noc_params);
   probe.prefetch.line_bytes = spec.processor.cache_line_bytes;
   report.merge(probe_config(probe));
-  // Cross-model: the event-driven hierarchy and the analytic NoC state
-  // the same physical quantity — the local DRAM demand latency — and
-  // must not drift apart.
-  const double h = probe.hierarchy.latency.dram_ns;
-  const double n = noc_params.local_dram_latency_ns;
-  if (h > 0.0 && n > 0.0 && std::abs(h - n) / h > 0.2)
-    report.add(AuditSeverity::kWarning, "machine.dram-latency",
-               fmt("hierarchy DRAM latency (%.1f ns) and NoC local DRAM "
-                   "latency (%.1f ns) diverge by more than 20%%",
-                   h, n));
   return report;
 }
 

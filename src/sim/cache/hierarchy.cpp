@@ -2,7 +2,6 @@
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
-#include "common/units.hpp"
 
 namespace p8::sim {
 
@@ -42,7 +41,8 @@ double HierarchyLatencies::of(ServiceLevel level) const {
   return 0.0;
 }
 
-HierarchyConfig HierarchyConfig::from_spec(const arch::SystemSpec& spec) {
+HierarchyConfig HierarchyConfig::from_spec(const arch::SystemSpec& spec,
+                                           const NocParams& noc) {
   HierarchyConfig c;
   const auto& core = spec.processor.core;
   c.line_bytes = spec.processor.cache_line_bytes;
@@ -50,7 +50,9 @@ HierarchyConfig HierarchyConfig::from_spec(const arch::SystemSpec& spec) {
   c.l2_bytes = core.l2_bytes;
   c.l3_bytes = core.l3_bytes;
   c.chip_cores = spec.cores_per_chip;
-  c.centaurs = spec.centaurs_per_chip;
+  c.l4_bytes = static_cast<std::uint64_t>(spec.centaurs_per_chip) *
+               spec.centaur.l4_bytes;
+  c.latency.dram_ns = noc.local_dram_latency_ns;
   return c;
 }
 
@@ -60,19 +62,10 @@ SetAssocCache make_victim_pool(const HierarchyConfig& c) {
   // The other (chip_cores - 1) L3 regions.  When victim forwarding is
   // disabled (ablation) we still need a non-zero cache object; a
   // single-line cache that is never consulted keeps the code uniform.
-  const int peers = c.chip_cores - 1;
-  if (!c.victim_l3 || peers <= 0)
+  if (!c.victim_l3 || c.victim_bytes() == 0)
     return SetAssocCache(c.line_bytes, 1, c.line_bytes);
-  return SetAssocCache(c.l3_bytes * static_cast<std::uint64_t>(peers), 16,
+  return SetAssocCache(c.victim_bytes(), HierarchyConfig::kPoolWays,
                        c.line_bytes);
-}
-
-SetAssocCache make_l4(const HierarchyConfig& c) {
-  if (!c.l4_enabled)
-    return SetAssocCache(c.line_bytes, 1, c.line_bytes);
-  return SetAssocCache(
-      common::mib(16) * static_cast<std::uint64_t>(c.centaurs), 16,
-      c.line_bytes);
 }
 
 }  // namespace
@@ -83,7 +76,7 @@ ChipMemoryModel::ChipMemoryModel(const HierarchyConfig& config)
       l2_(config.l2_bytes, config.l2_ways, config.line_bytes),
       l3_(config.l3_bytes, config.l3_ways, config.line_bytes),
       l3_victim_(make_victim_pool(config)),
-      l4_(make_l4(config)) {
+      l4_(config.l4_bytes, HierarchyConfig::kPoolWays, config.line_bytes) {
   P8_REQUIRE(config.chip_cores >= 1, "chip needs at least one core");
   P8_ENSURE(l1_.line_bytes() == l2_.line_bytes() &&
                 l2_.line_bytes() == l3_.line_bytes() &&
@@ -102,18 +95,10 @@ void ChipMemoryModel::cast_into_victim(const SetAssocCache::Eviction& line) {
   // exists in L4/DRAM), dirty ones cross the Centaur write link.
   auto leave_sram = [&](const SetAssocCache::Eviction& out) {
     if (!out.dirty) return;
-    ++counters_.memlink_line_writes;
     events_.memlink_write.add();
-    if (config_.l4_enabled) {
-      if (const auto ev4 = l4_.install_line(out.line, /*dirty=*/true);
-          ev4 && ev4->dirty) {
-        ++counters_.dram_writes;
-        events_.dram_write.add();
-      }
-    } else {
-      ++counters_.dram_writes;
+    if (const auto ev4 = l4_.install_line(out.line, /*dirty=*/true);
+        ev4 && ev4->dirty)
       events_.dram_write.add();
-    }
   };
   if (config_.victim_l3) {
     if (const auto evv = l3_victim_.install_line(line.line, line.dirty)) {
@@ -126,10 +111,7 @@ void ChipMemoryModel::cast_into_victim(const SetAssocCache::Eviction& line) {
 }
 
 void ChipMemoryModel::cast_into_l3(const SetAssocCache::Eviction& line) {
-  if (line.dirty) {
-    ++counters_.l2_writebacks;
-    events_.l2_writeback.add();
-  }
+  if (line.dirty) events_.l2_writeback.add();
   if (const auto ev3 = l3_.install_line(line.line, line.dirty))
     cast_into_victim(*ev3);
 }
@@ -207,8 +189,7 @@ ServiceLevel ChipMemoryModel::locate_and_fill(
     }
   }
   events_.l3_miss.add();
-  if (config_.l4_enabled && l4_.touch(addr)) {
-    ++counters_.memlink_line_reads;
+  if (l4_.touch(addr)) {
     events_.l4_hit.add();
     events_.memlink_read.add();
     fill_l1();
@@ -217,25 +198,18 @@ ServiceLevel ChipMemoryModel::locate_and_fill(
   }
   // DRAM.  The Centaur allocates the line in its memory-side L4 on
   // the way through.
-  ++counters_.memlink_line_reads;
-  ++counters_.dram_reads;
   events_.dram_fill.add();
   events_.memlink_read.add();
   events_.dram_read.add();
-  if (config_.l4_enabled) {
-    if (const auto ev4 = l4_.install_line(addr, /*dirty=*/false);
-        ev4 && ev4->dirty) {
-      ++counters_.dram_writes;
-      events_.dram_write.add();
-    }
-  }
+  if (const auto ev4 = l4_.install_line(addr, /*dirty=*/false);
+      ev4 && ev4->dirty)
+    events_.dram_write.add();
   fill_l1();
   fill_l2_l3(addr, false, l2_slot, l3_slot);
   return ServiceLevel::kDram;
 }
 
 ServiceLevel ChipMemoryModel::access(std::uint64_t addr) {
-  ++counters_.loads;
   events_.loads.add();
   SetAssocCache::Slot l1_slot;
   if (l1_.touch_slot(addr, l1_slot)) {
@@ -257,7 +231,6 @@ ServiceLevel ChipMemoryModel::access(std::uint64_t addr) {
 }
 
 ServiceLevel ChipMemoryModel::access_write(std::uint64_t addr) {
-  ++counters_.stores;
   events_.stores.add();
   // Store-through L1: the L1 copy (if any) is updated but never holds
   // the only dirty copy; the store lands in the store-in L2.
@@ -284,13 +257,13 @@ ServiceLevel ChipMemoryModel::lookup(std::uint64_t addr) const {
   if (l3_.probe(addr)) return ServiceLevel::kL3Local;
   if (config_.victim_l3 && l3_victim_.probe(addr))
     return ServiceLevel::kL3Remote;
-  if (config_.l4_enabled && l4_.probe(addr)) return ServiceLevel::kL4;
+  if (l4_.probe(addr)) return ServiceLevel::kL4;
   return ServiceLevel::kDram;
 }
 
 void ChipMemoryModel::install_prefetched(std::uint64_t addr) {
   events_.prefetch_install.add();
-  if (config_.l4_enabled) l4_.install(addr);
+  l4_.install(addr);
   fill_upper(addr);
 }
 

@@ -7,8 +7,8 @@
 //   local L3 region (8 MB eDRAM, NUCA)
 //   remote L3 regions of the other on-chip cores (victim pool,
 //     (cores-1) x 8 MB) — the shelf between 8 MB and 64 MB in Fig. 2
-//   Centaur L4 (centaurs x 16 MB, memory-side) — the shoulder that
-//     cuts >30 ns off an L3 miss
+//   Centaur L4 (centaurs x centaur.l4_bytes, memory-side) — the
+//     shoulder that cuts >30 ns off an L3 miss
 //   DRAM
 //
 // The L3 is a victim hierarchy: lines evicted from the local region are
@@ -23,6 +23,7 @@
 #include "arch/spec.hpp"
 #include "sim/cache/cache.hpp"
 #include "sim/counters.hpp"
+#include "sim/noc/noc.hpp"
 
 namespace p8::sim {
 
@@ -35,6 +36,8 @@ const char* to_string(ServiceLevel level);
 /// Values follow the paper's own statements where it makes them
 /// (L4 saves >30 ns over DRAM; local DRAM ~95 ns at the Fig. 2
 /// plateau) and POWER8 documentation for the core-adjacent levels.
+/// HierarchyConfig::from_spec replaces `dram_ns` with the spec's
+/// `noc.local_dram_latency_ns`.
 struct HierarchyLatencies {
   double l1_ns = 0.7;
   double l2_ns = 2.8;
@@ -55,45 +58,30 @@ struct HierarchyConfig {
   std::uint64_t l3_bytes = 8ull << 20;
   unsigned l3_ways = 8;
   int chip_cores = 8;       ///< local + (chip_cores-1) victim regions
-  int centaurs = 8;         ///< L4 = centaurs x 16 MB
+  std::uint64_t l4_bytes = 128ull << 20;  ///< per chip, all its Centaurs
   bool victim_l3 = true;    ///< ablation: disable lateral cast-out
-  bool l4_enabled = true;   ///< ablation: no memory-side cache
   HierarchyLatencies latency;
 
-  /// Builds the geometry for `spec`'s processor with `chip_cores`
-  /// cores and `centaurs` Centaur chips.
-  static HierarchyConfig from_spec(const arch::SystemSpec& spec);
-};
+  /// Associativity of the victim pool and the L4.
+  static constexpr unsigned kPoolWays = 16;
 
-/// Line-granular traffic accounting, including the Centaur link
-/// crossings that the paper's read:write mix analysis (Table III)
-/// is about.
-struct TrafficCounters {
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
-  /// Lines crossing the processor<-Centaur read links (L4 or DRAM
-  /// fills, demand or write-allocate).
-  std::uint64_t memlink_line_reads = 0;
-  /// Dirty lines crossing the processor->Centaur write link.
-  std::uint64_t memlink_line_writes = 0;
-  std::uint64_t l2_writebacks = 0;  ///< dirty L2 evictions into L3
-  std::uint64_t dram_reads = 0;     ///< fills the L4 could not serve
-  std::uint64_t dram_writes = 0;    ///< dirty lines leaving the L4
-
-  /// Read:write byte ratio at the Centaur links.
-  double memlink_read_to_write() const {
-    return memlink_line_writes
-               ? static_cast<double>(memlink_line_reads) /
-                     static_cast<double>(memlink_line_writes)
-               : 0.0;
+  /// The other cores' L3 regions, and the whole chip's L3.
+  std::uint64_t victim_bytes() const {
+    return chip_cores > 1 ? l3_bytes * (chip_cores - 1ull) : 0;
   }
+  std::uint64_t chip_l3_bytes() const { return l3_bytes + victim_bytes(); }
+
+  /// The one translation from a machine description to per-chip
+  /// capacities and latencies: `centaurs_per_chip x centaur.l4_bytes`
+  /// of L4, and `noc.local_dram_latency_ns` as the DRAM latency.
+  /// Everything else reads it through Machine::hierarchy().
+  static HierarchyConfig from_spec(const arch::SystemSpec& spec,
+                                   const NocParams& noc);
 };
 
 class ChipMemoryModel {
  public:
   explicit ChipMemoryModel(const HierarchyConfig& config);
-
-  const HierarchyConfig& config() const { return config_; }
 
   /// Performs one demand load and returns the level that serviced it,
   /// updating all cache state (fills, victim cast-outs, L4 allocation).
@@ -107,9 +95,6 @@ class ChipMemoryModel {
   /// it was already core-adjacent).
   ServiceLevel access_write(std::uint64_t addr);
 
-  const TrafficCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = TrafficCounters{}; }
-
   /// Exposes per-level events under `<prefix>.`:
   ///   loads / stores                      — demand accesses
   ///   l1.hit / l1.miss                    — L1 lookups (identity:
@@ -118,16 +103,13 @@ class ChipMemoryModel {
   ///   l3.local.hit / l3.victim.hit / l3.miss
   ///   l3.evict / l3.victim.evict          — NUCA cast-out chain
   ///   l4.hit / dram.fill                  — memory-side service
-  ///   memlink.read.lines / memlink.write.lines
-  ///   dram.read.lines / dram.write.lines
+  ///   memlink.read.lines / memlink.write.lines — L4/DRAM fills (demand
+  ///     or write-allocate) / dirty lines crossing the Centaur links;
+  ///     their ratio is the Table III read:write mix
+  ///   dram.read.lines / dram.write.lines  — L4 misses / L4 write-backs
   ///   prefetch.install                    — prefetched line fills
   void attach_counters(CounterRegistry* registry,
                        const std::string& prefix = "cache");
-
-  /// Latency, in ns, of a load serviced at `level`.
-  double latency_ns(ServiceLevel level) const {
-    return config_.latency.of(level);
-  }
 
   /// Probe-only: where would this address hit right now?
   ServiceLevel lookup(std::uint64_t addr) const;
@@ -141,7 +123,7 @@ class ChipMemoryModel {
   [[gnu::always_inline]] void prefetch_sets(std::uint64_t addr) const {
     l3_.prefetch_set(addr);
     if (config_.victim_l3) l3_victim_.prefetch_set(addr);
-    if (config_.l4_enabled) l4_.prefetch_set(addr);
+    l4_.prefetch_set(addr);
   }
 
   /// Installs a line as if it had been prefetched: fills L1/L2/L3
@@ -174,7 +156,6 @@ class ChipMemoryModel {
   SetAssocCache l3_;
   SetAssocCache l3_victim_;  // other cores' regions acting as victims
   SetAssocCache l4_;
-  TrafficCounters counters_;
   struct {
     Counter loads, stores;
     Counter l1_hit, l1_miss;

@@ -28,7 +28,7 @@ void LatencyProbe::launch(const std::vector<PrefetchRequest>& requests) {
     if (src == ServiceLevel::kL1 || src == ServiceLevel::kL2 ||
         src == ServiceLevel::kL3Local)
       continue;
-    double fill = memory_.latency_ns(src);
+    double fill = config_.hierarchy.latency.of(src);
     if (src == ServiceLevel::kL4 || src == ServiceLevel::kDram)
       fill += config_.remote_extra_ns;
     P8_INVARIANT(fill >= 0.0,
@@ -59,7 +59,7 @@ AccessTiming LatencyProbe::access(std::uint64_t addr) {
     inflight_.erase_found(completion);
   } else {
     const ServiceLevel level = memory_.access(line);
-    double service = memory_.latency_ns(level);
+    double service = config_.hierarchy.latency.of(level);
     if (level == ServiceLevel::kL4 || level == ServiceLevel::kDram)
       service += config_.remote_extra_ns;
     latency += service;

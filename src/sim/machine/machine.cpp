@@ -11,6 +11,7 @@ Machine::Machine(const arch::SystemSpec& spec,
       topology_(arch::Topology::from_spec(spec)),
       memory_(spec, mem_params),
       noc_(topology_, noc_params),
+      hierarchy_(HierarchyConfig::from_spec(spec, noc_params)),
       audit_(ModelAudit::machine(spec, mem_params, noc_params)) {}
 
 CoreSim Machine::core_sim(const CoreSimConfig& config) const {
@@ -29,7 +30,7 @@ LatencyProbe Machine::probe(const ProbeOptions& options) const {
              "home chip out of range");
 
   ProbeConfig config;
-  config.hierarchy = HierarchyConfig::from_spec(spec_);
+  config.hierarchy = hierarchy_;
   config.hierarchy.victim_l3 = options.victim_l3;
 
   config.tlb.page_bytes = options.page_bytes;

@@ -40,6 +40,11 @@ class Machine {
   const arch::Topology& topology() const { return topology_; }
   const MemoryBandwidthModel& memory() const { return memory_; }
   const NocModel& noc() const { return noc_; }
+  /// Per-chip cache capacities and service latencies, built once from
+  /// the spec and the NoC params (HierarchyConfig::from_spec): what
+  /// every probe simulates and what the analytic tier and the bench
+  /// landmarks read.
+  const HierarchyConfig& hierarchy() const { return hierarchy_; }
 
   /// The ModelAudit verdict on this machine's configuration, computed
   /// once at construction.  Construction never throws on a failed
@@ -64,6 +69,7 @@ class Machine {
   arch::Topology topology_;
   MemoryBandwidthModel memory_;
   NocModel noc_;
+  HierarchyConfig hierarchy_;
   AuditReport audit_;
 };
 

@@ -6,13 +6,14 @@
 
 namespace p8::sim {
 
-TrafficConfig TrafficConfig::from_spec(const arch::SystemSpec& spec) {
+TrafficConfig TrafficConfig::from_spec(const arch::SystemSpec& spec,
+                                       const MemBandwidthParams& params) {
   TrafficConfig c;
   c.chips = spec.total_chips();
   c.read_link_gbs =
-      spec.centaurs_per_chip * spec.centaur.read_link_gbs * 0.93;
-  c.write_link_gbs =
-      spec.centaurs_per_chip * spec.centaur.write_link_gbs * 0.958;
+      spec.centaurs_per_chip * spec.centaur.read_link_gbs * params.read_link_eff;
+  c.write_link_gbs = spec.centaurs_per_chip * spec.centaur.write_link_gbs *
+                     params.write_link_eff;
   c.line_bytes = static_cast<double>(spec.processor.cache_line_bytes);
   return c;
 }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "arch/spec.hpp"
+#include "sim/mem/bandwidth.hpp"
 
 namespace p8::sim {
 
@@ -42,7 +43,10 @@ struct TrafficConfig {
   double base_latency_ns = 95.0;
   double line_bytes = 128.0;
 
-  static TrafficConfig from_spec(const arch::SystemSpec& spec);
+  /// Link rates are the spec's Centaur link speeds scaled by the
+  /// bandwidth model's sustained read/write link efficiencies.
+  static TrafficConfig from_spec(const arch::SystemSpec& spec,
+                                 const MemBandwidthParams& params);
 };
 
 /// One closed-loop request generator.

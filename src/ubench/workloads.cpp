@@ -188,6 +188,8 @@ double stride_latency_ns(const sim::Machine& machine,
   probe_options.page_bytes = options.page_bytes;
   probe_options.dscr = options.dscr;
   probe_options.stride_n = options.stride_n;
+  probe_options.consumer_chip = options.consumer_chip;
+  probe_options.home_chip = options.home_chip;
   probe_options.counters = options.counters;
   sim::LatencyProbe probe = machine.probe(probe_options);
 

@@ -91,6 +91,9 @@ struct StrideOptions {
   std::uint64_t page_bytes = 16ull << 20;  ///< huge pages: isolate prefetch
   int dscr = 7;
   bool stride_n = false;
+  /// Chip issuing the loads and chip homing the stream (SMP hops).
+  int home_chip = 0;
+  int consumer_chip = 0;
   /// Optional event sink for the probe stack (null = counting off).
   sim::CounterRegistry* counters = nullptr;
 };

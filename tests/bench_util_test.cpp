@@ -252,7 +252,8 @@ TEST(ToleranceChecks, VerdictRendersStatusAndGatesOnlyOnFail) {
 TEST(HierarchyLandmarks, CoversEveryLevelOfTheE870MidPlateau) {
   const auto spec = bench::load_machine("e870");
   ASSERT_TRUE(spec.has_value());
-  const auto landmarks = bench::hierarchy_landmarks(spec->system);
+  const auto landmarks =
+      bench::hierarchy_landmarks(spec->machine().hierarchy());
   ASSERT_EQ(landmarks.size(), 6u);
   const char* levels[] = {"L1", "L2", "L3", "chip-L3", "L4", "DRAM"};
   for (std::size_t i = 0; i < landmarks.size(); ++i) {
@@ -272,7 +273,8 @@ TEST(HierarchyLandmarks, SkipsLevelsTheSpecDoesNotHave) {
   // Ablate the L4 below the chip L3: the L4 plateau disappears and the
   // DRAM landmark is sized off the deepest remaining level.
   spec->system.centaur.l4_bytes = 1;
-  const auto landmarks = bench::hierarchy_landmarks(spec->system);
+  const auto landmarks =
+      bench::hierarchy_landmarks(spec->machine().hierarchy());
   for (const auto& lm : landmarks) EXPECT_STRNE(lm.level, "L4");
   const std::uint64_t chip_l3 = spec->system.processor.l3_total_bytes(
       spec->system.cores_per_chip);

@@ -16,6 +16,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "predict/machine_predict.hpp"
@@ -155,6 +158,98 @@ TEST(QueryRouter, FallbackIsBitIdenticalToTheDirectRunAndCounted) {
 
   EXPECT_EQ(registry.value("predictor.hits"), 1u);
   EXPECT_EQ(registry.value("predictor.fallbacks"), 1u);
+}
+
+TEST(QueryRouter, StreamFallbackHonoursTheChips) {
+  const sim::MachineSpec spec = e870();
+  predict::QueryRouter router(spec, 1);
+  // A remote-homed unit-stride stream pays the fabric hops in the
+  // simulator as it does in the closed form (bench_predict's 5%).
+  for (const int dscr : {3, 7}) {
+    ubench::StrideOptions options;
+    options.stride_lines = 1;
+    options.dscr = dscr;
+    options.home_chip = 1;
+    const double simulated =
+        ubench::stride_latency_ns(router.machine(), options);
+    EXPECT_NEAR(simulated / router.predictor().stream_latency_ns(dscr, 0, 1),
+                1.0, 0.05)
+        << "dscr " << dscr;
+  }
+  // The router's fallback forwards both chips to the simulator.
+  predict::Query q;
+  q.kind = predict::Query::Kind::kStreamLatency;
+  q.stride_lines = 4;
+  q.dscr = 7;
+  q.home_chip = 1;
+  ASSERT_FALSE(router.analytic_servable(q));
+  ubench::StrideOptions options;
+  options.stride_lines = q.stride_lines;
+  options.dscr = q.dscr;
+  options.page_bytes = q.page_bytes;
+  options.home_chip = q.home_chip;
+  const double remote = router.answer(q).value;
+  EXPECT_EQ(remote, ubench::stride_latency_ns(router.machine(), options));
+  q.home_chip = 0;
+  EXPECT_LT(router.answer(q).value, remote);
+}
+
+// ---------------------------------------------------------------------------
+// A checked-in, audit-clean spec that is no preset.
+
+sim::MachineSpec spec_file(const std::string& name) {
+  std::ifstream in(std::string(P8_TEST_SPEC_DIR) + "/" + name);
+  std::stringstream text;
+  text << in.rdbuf();
+  return sim::MachineSpec::from_json(text.str());
+}
+
+TEST(QueryRouter, TiersAgreeOnANonPresetSpec) {
+  // e870-centaur4 with 32 MB per Centaur (a 128 MB L4 per chip, twice
+  // the chip L3) and a 110 ns local DRAM.  Both numbers reach the
+  // simulator, the predictor and the landmarks through
+  // Machine::hierarchy() alone.
+  const sim::MachineSpec spec = spec_file("e870-centaur4-l4-32m.json");
+  ASSERT_TRUE(spec.audit().diagnostics.empty()) << spec.audit().to_string();
+  predict::QueryRouter router(spec, 1);
+  const predict::Predictor& p = router.predictor();
+  ASSERT_EQ(p.level(p.level_count() - 2).level, sim::ServiceLevel::kL4);
+
+  // One chase mid-way up each step of the staircase (DRAM: twice the
+  // deepest cache), under bench_predict's tolerances: 2% on chip, 4%
+  // for the L4 and DRAM rows.
+  std::uint64_t below = 0;
+  for (std::size_t i = 0; i < p.level_count(); ++i) {
+    const predict::Predictor::Level& level = p.level(i);
+    const bool dram = level.level == sim::ServiceLevel::kDram;
+    predict::Query q;
+    q.kind = predict::Query::Kind::kChaseLatency;
+    q.footprint_bytes = dram ? 2 * below : (below + level.capacity_bytes) / 2;
+    ASSERT_TRUE(router.analytic_servable(q)) << q.footprint_bytes;
+    ubench::ChaseOptions options;
+    options.working_set_bytes = q.footprint_bytes;
+    const double simulated =
+        ubench::chase_latency_ns(router.machine(), options);
+    const bool deep = dram || level.level == sim::ServiceLevel::kL4;
+    EXPECT_NEAR(router.answer(q).value / simulated, 1.0, deep ? 0.04 : 0.02)
+        << sim::to_string(level.level) << " at " << q.footprint_bytes << " B";
+    below = level.capacity_bytes;
+  }
+
+  // Unit-stride prefetched streams: 5%.
+  for (const int dscr : {3, 7}) {
+    predict::Query q;
+    q.kind = predict::Query::Kind::kStreamLatency;
+    q.dscr = dscr;
+    ASSERT_TRUE(router.analytic_servable(q));
+    ubench::StrideOptions options;
+    options.stride_lines = 1;
+    options.dscr = dscr;
+    const double simulated =
+        ubench::stride_latency_ns(router.machine(), options);
+    EXPECT_NEAR(router.answer(q).value / simulated, 1.0, 0.05)
+        << "dscr " << dscr;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <memory>
@@ -171,6 +174,20 @@ int raw_connect(const std::string& path) {
                       sizeof addr),
             0);
   return fd;
+}
+
+/// This process's live threads.
+std::size_t thread_count() {
+  namespace fs = std::filesystem;
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator{}));
+}
+
+/// This process's mapped regions (one line each in /proc/self/maps).
+std::size_t mapping_count() {
+  std::ifstream in("/proc/self/maps");
+  return static_cast<std::size_t>(
+      std::count(std::istreambuf_iterator<char>(in), {}, '\n'));
 }
 
 std::string raw_read_all(int fd) {
@@ -993,6 +1010,34 @@ TEST(ServeDaemonTest, TruncatedFrameRejectedWithoutKillingTheDaemon) {
   EXPECT_NE(response.find("truncated frame"), std::string::npos);
   EXPECT_EQ(serve::request_once(daemon.path(), "{\"verb\": \"ping\"}"),
             "{\"ok\": true, \"pong\": true}");
+}
+
+TEST(ServeDaemonTest, FinishedConnectionThreadsAreReaped) {
+  // Every connection gets a thread.  A finished thread nobody joins
+  // leaves /proc/self/task but keeps its stack mapped until the daemon
+  // shuts down; the accept loop must join it soon after it finishes.
+  Daemon daemon(daemon_options());
+  ASSERT_TRUE(serve::wait_for_server(daemon.path(), 5.0));
+  const std::string ping = "{\"verb\": \"ping\"}";
+  const std::string pong = "{\"ok\": true, \"pong\": true}";
+  // The first connection pays the one-time costs (its thread's stack,
+  // allocator state) that later connections reuse.
+  ASSERT_EQ(serve::request_once(daemon.path(), ping), pong);
+  // Let its thread finish and be reaped: the accept loop reaps on
+  // every pass, at least every 100 ms.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t threads = thread_count();
+  const std::size_t maps = mapping_count();
+  for (int i = 0; i < 64; ++i)
+    ASSERT_EQ(serve::request_once(daemon.path(), ping), pong) << "cycle " << i;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((thread_count() > threads + 2 || mapping_count() > maps + 16) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_LE(thread_count(), threads + 2);
+  // 64 unjoined threads would hold 64 stacks (two mappings each).
+  EXPECT_LE(mapping_count(), maps + 16);
 }
 
 TEST(ServeDaemonTest, GarbageBytesKeepTheConnectionServing) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "arch/spec.hpp"
+#include "common/units.hpp"
 #include "sim/audit.hpp"
 #include "sim/machine/machine.hpp"
 
@@ -16,7 +17,7 @@ namespace p8::sim {
 namespace {
 
 HierarchyConfig e870_hierarchy() {
-  return HierarchyConfig::from_spec(arch::e870());
+  return HierarchyConfig::from_spec(arch::e870(), NocParams{});
 }
 
 ProbeConfig e870_probe() {
@@ -80,6 +81,48 @@ TEST(ModelAudit, RejectsUntileableGeometry) {
   const AuditReport report = ModelAudit::hierarchy(c);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("hierarchy.geometry")) << report.to_string();
+}
+
+TEST(ModelAudit, RejectsUntileableL4AsANamedError) {
+  // An L4 that is not a whole number of 16-way sets would throw from
+  // the cache constructor; the audit names it first.
+  arch::SystemSpec spec = arch::e870();
+  spec.centaur.l4_bytes = common::mib(16) + 128;
+  const AuditReport report =
+      ModelAudit::machine(spec, MemBandwidthParams{}, NocParams{});
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("hierarchy.geometry")) << report.to_string();
+  EXPECT_NE(report.to_string().find("L4"), std::string::npos);
+}
+
+TEST(ModelAudit, RejectsUntileableVictimPool) {
+  HierarchyConfig c = e870_hierarchy();
+  c.chip_cores = 2;
+  c.l3_bytes = 8 * 128;  // one 8-way L3 set; half a 16-way victim set
+  c.l2_bytes = 4 * 128;
+  c.l1_bytes = 2 * 128;
+  c.l1_ways = c.l2_ways = 2;
+  const AuditReport report = ModelAudit::hierarchy(c);
+  EXPECT_TRUE(report.has("hierarchy.geometry")) << report.to_string();
+  EXPECT_NE(report.to_string().find("victim pool"), std::string::npos);
+}
+
+TEST(ModelAudit, DramLatencyIsTheNocLocalLatency) {
+  // One number: the probe's DRAM service latency is the NoC's local
+  // DRAM latency, so a spec cannot state two.  A local DRAM latency
+  // below the L4's breaks the hierarchy's latency order.
+  NocParams noc;
+  noc.local_dram_latency_ns = 50.0;
+  const AuditReport report =
+      ModelAudit::machine(arch::e870(), MemBandwidthParams{}, noc);
+  EXPECT_TRUE(report.has("hierarchy.latency-order")) << report.to_string();
+  noc.local_dram_latency_ns = 150.0;
+  EXPECT_TRUE(
+      ModelAudit::machine(arch::e870(), MemBandwidthParams{}, noc).ok());
+  EXPECT_EQ(Machine(arch::e870(), MemBandwidthParams{}, noc)
+                .hierarchy()
+                .latency.dram_ns,
+            150.0);
 }
 
 TEST(ModelAudit, RejectsEratOutreachingTlb) {

@@ -197,7 +197,7 @@ TEST(Tlb, PenaltiesOrdered) {
 // ------------------------------------------------------------- hierarchy ---
 
 HierarchyConfig e870_hierarchy() {
-  return HierarchyConfig::from_spec(arch::e870());
+  return HierarchyConfig::from_spec(arch::e870(), NocParams{});
 }
 
 TEST(Hierarchy, FromSpecGeometry) {
@@ -206,8 +206,27 @@ TEST(Hierarchy, FromSpecGeometry) {
   EXPECT_EQ(c.l2_bytes, kib(512));
   EXPECT_EQ(c.l3_bytes, mib(8));
   EXPECT_EQ(c.chip_cores, 8);
-  EXPECT_EQ(c.centaurs, 8);
+  EXPECT_EQ(c.l4_bytes, 8 * mib(16));  // eight Centaurs x 16 MB
   EXPECT_EQ(c.line_bytes, 128u);
+  EXPECT_EQ(c.victim_bytes(), 7 * mib(8));
+  EXPECT_EQ(c.chip_l3_bytes(), 8 * mib(8));
+  EXPECT_EQ(c.latency.dram_ns, NocParams{}.local_dram_latency_ns);
+}
+
+TEST(Hierarchy, FromSpecReadsTheL4SizeAndDramLatency) {
+  arch::SystemSpec spec = arch::e870();
+  spec.centaurs_per_chip = 4;
+  spec.centaur.l4_bytes = mib(32);
+  NocParams noc;
+  noc.local_dram_latency_ns = 110.0;
+  const auto c = HierarchyConfig::from_spec(spec, noc);
+  EXPECT_EQ(c.l4_bytes, 4 * mib(32));
+  EXPECT_EQ(c.latency.dram_ns, 110.0);
+  // The simulated L4 really is that large: a 96 MB stream past the
+  // 64 MB chip L3 still finds its first line in the L4.
+  ChipMemoryModel m(c);
+  for (std::uint64_t a = 0; a <= mib(96); a += 128) m.access(a);
+  EXPECT_EQ(m.access(0), ServiceLevel::kL4);
 }
 
 TEST(Hierarchy, FirstAccessComesFromDram) {
@@ -256,16 +275,6 @@ TEST(Hierarchy, VictimDisabledFallsToL4) {
   EXPECT_EQ(m.access(0), ServiceLevel::kL4);
 }
 
-TEST(Hierarchy, L4DisabledFallsToDram) {
-  auto cfg = e870_hierarchy();
-  cfg.victim_l3 = false;
-  cfg.l4_enabled = false;
-  ChipMemoryModel m(cfg);
-  m.access(0);
-  for (std::uint64_t a = 128; a <= mib(16); a += 128) m.access(a);
-  EXPECT_EQ(m.access(0), ServiceLevel::kDram);
-}
-
 TEST(Hierarchy, RemoteHitMigratesHome) {
   ChipMemoryModel m(e870_hierarchy());
   m.access(0);
@@ -312,40 +321,58 @@ TEST(Hierarchy, ClearResets) {
 
 // ------------------------------------------------------ write path ---------
 
-TEST(WritePath, StoreThroughL1NeverDirties) {
+/// A hierarchy whose `cache.*` events land in `registry`.
+ChipMemoryModel counted_hierarchy(CounterRegistry& registry) {
   ChipMemoryModel m(e870_hierarchy());
+  m.attach_counters(&registry);
+  return m;
+}
+
+/// memlink.read.lines over memlink.write.lines: the read:write mix at
+/// the Centaur links.
+double link_read_to_write(const CounterRegistry& r) {
+  return static_cast<double>(r.value("cache.memlink.read.lines")) /
+         static_cast<double>(r.value("cache.memlink.write.lines"));
+}
+
+TEST(WritePath, StoreThroughL1NeverDirties) {
+  CounterRegistry r;
+  ChipMemoryModel m = counted_hierarchy(r);
   m.access(0);               // line cached
   m.access_write(0);         // store hits L1+L2
   // Stream far past every SRAM level; the only dirty copy was in L2,
   // so exactly one line crosses the write link when it finally leaves.
   for (std::uint64_t a = 128; a <= mib(80); a += 128) m.access(a);
-  EXPECT_EQ(m.counters().memlink_line_writes, 1u);
+  EXPECT_EQ(r.value("cache.memlink.write.lines"), 1u);
 }
 
 TEST(WritePath, WriteAllocateFetchesTheLine) {
-  ChipMemoryModel m(e870_hierarchy());
-  const auto before = m.counters().memlink_line_reads;
+  CounterRegistry r;
+  ChipMemoryModel m = counted_hierarchy(r);
+  const auto before = r.value("cache.memlink.read.lines");
   EXPECT_EQ(m.access_write(1 << 20), ServiceLevel::kDram);
-  EXPECT_EQ(m.counters().memlink_line_reads, before + 1);
-  EXPECT_EQ(m.counters().stores, 1u);
+  EXPECT_EQ(r.value("cache.memlink.read.lines"), before + 1);
+  EXPECT_EQ(r.value("cache.stores"), 1u);
 }
 
 TEST(WritePath, RepeatedStoresStayInL2) {
-  ChipMemoryModel m(e870_hierarchy());
+  CounterRegistry r;
+  ChipMemoryModel m = counted_hierarchy(r);
   m.access_write(0);
-  const auto reads = m.counters().memlink_line_reads;
+  const auto reads = r.value("cache.memlink.read.lines");
   for (int i = 0; i < 10; ++i) EXPECT_EQ(m.access_write(0), ServiceLevel::kL2);
-  EXPECT_EQ(m.counters().memlink_line_reads, reads);  // no refetch
-  EXPECT_EQ(m.counters().memlink_line_writes, 0u);    // not yet evicted
+  EXPECT_EQ(r.value("cache.memlink.read.lines"), reads);  // no refetch
+  EXPECT_EQ(r.value("cache.memlink.write.lines"), 0u);    // not yet evicted
 }
 
 TEST(WritePath, CleanEvictionsCostNoWriteTraffic) {
-  ChipMemoryModel m(e870_hierarchy());
+  CounterRegistry r;
+  ChipMemoryModel m = counted_hierarchy(r);
   // Read-only streaming far beyond every cache level.
   for (std::uint64_t a = 0; a <= mib(100); a += 128) m.access(a);
-  EXPECT_EQ(m.counters().memlink_line_writes, 0u);
-  EXPECT_EQ(m.counters().dram_writes, 0u);
-  EXPECT_GT(m.counters().memlink_line_reads, 0u);
+  EXPECT_EQ(r.value("cache.memlink.write.lines"), 0u);
+  EXPECT_EQ(r.value("cache.dram.write.lines"), 0u);
+  EXPECT_GT(r.value("cache.memlink.read.lines"), 0u);
 }
 
 TEST(WritePath, StreamCopyIsTwoToOneAtTheLinks) {
@@ -353,50 +380,63 @@ TEST(WritePath, StreamCopyIsTwoToOneAtTheLinks) {
   // vs one eventual write-back — the mechanism behind the paper's
   // optimal 2:1 read:write ratio (Table III).  The ratio is measured
   // in steady state: a warm phase first fills the SRAM hierarchy with
-  // dirty lines so the write-back pipeline is flowing.
+  // dirty lines so the write-back pipeline is flowing, and the
+  // registry is attached only after it.
   ChipMemoryModel m(e870_hierarchy());
+  CounterRegistry steady;
   const std::uint64_t lines = mib(96) / 128;
   const std::uint64_t src = 0;
   const std::uint64_t dst = 1ull << 32;
   for (std::uint64_t l = 0; l < lines; ++l) {
-    if (l == lines / 2) m.reset_counters();  // enter steady state
+    if (l == lines / 2) m.attach_counters(&steady);  // enter steady state
     m.access(src + l * 128);
     m.access_write(dst + l * 128);
   }
-  const auto& c = m.counters();
-  ASSERT_GT(c.memlink_line_writes, 0u);
-  EXPECT_NEAR(c.memlink_read_to_write(), 2.0, 0.2);
+  ASSERT_GT(steady.value("cache.memlink.write.lines"), 0u);
+  EXPECT_NEAR(link_read_to_write(steady), 2.0, 0.2);
 }
 
 TEST(WritePath, TriadIsThreeToOneAtTheLinks) {
   ChipMemoryModel m(e870_hierarchy());
+  CounterRegistry steady;
   const std::uint64_t lines = mib(96) / 128;
   for (std::uint64_t l = 0; l < lines; ++l) {
-    if (l == lines / 2) m.reset_counters();
+    if (l == lines / 2) m.attach_counters(&steady);
     m.access((1ull << 32) + l * 128);
     m.access((2ull << 32) + l * 128);
     m.access_write((3ull << 32) + l * 128);
   }
-  EXPECT_NEAR(m.counters().memlink_read_to_write(), 3.0, 0.3);
+  ASSERT_GT(steady.value("cache.memlink.write.lines"), 0u);
+  EXPECT_NEAR(link_read_to_write(steady), 3.0, 0.3);
 }
 
 TEST(WritePath, CountersReset) {
-  ChipMemoryModel m(e870_hierarchy());
+  // A registry attached mid-run records only what follows: the
+  // events before it went to the first registry.
+  CounterRegistry first;
+  ChipMemoryModel m = counted_hierarchy(first);
   m.access(0);
   m.access_write(128);
-  m.reset_counters();
-  EXPECT_EQ(m.counters().loads, 0u);
-  EXPECT_EQ(m.counters().stores, 0u);
-  EXPECT_EQ(m.counters().memlink_line_reads, 0u);
+  CounterRegistry fresh;
+  m.attach_counters(&fresh);
+  EXPECT_EQ(fresh.value("cache.loads"), 0u);
+  EXPECT_EQ(fresh.value("cache.stores"), 0u);
+  EXPECT_EQ(fresh.value("cache.memlink.read.lines"), 0u);
+  EXPECT_EQ(first.value("cache.loads"), 1u);
+  EXPECT_EQ(first.value("cache.stores"), 1u);
+  m.access(0);
+  EXPECT_EQ(fresh.value("cache.loads"), 1u);
+  EXPECT_EQ(first.value("cache.loads"), 1u);
 }
 
 TEST(WritePath, DirtyLineSurvivesRoundTripThroughL3) {
-  ChipMemoryModel m(e870_hierarchy());
+  CounterRegistry r;
+  ChipMemoryModel m = counted_hierarchy(r);
   m.access_write(0);  // dirty in L2
   // Push it to L3 (1 MB stream), then touch it again: still no write
   // traffic has left the chip.
   for (std::uint64_t a = 128; a <= mib(1); a += 128) m.access(a);
-  EXPECT_EQ(m.counters().memlink_line_writes, 0u);
+  EXPECT_EQ(r.value("cache.memlink.write.lines"), 0u);
   EXPECT_EQ(m.access(0), ServiceLevel::kL3Local);
 }
 
@@ -706,7 +746,8 @@ TEST(HierarchyFuzz, LookupAlwaysConsistentWithAccess) {
 
 TEST(HierarchyFuzz, CountersAreConsistent) {
   common::Xoshiro256 rng(13);
-  ChipMemoryModel m(e870_hierarchy());
+  CounterRegistry r;
+  ChipMemoryModel m = counted_hierarchy(r);
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
   for (int op = 0; op < 30000; ++op) {
@@ -719,13 +760,15 @@ TEST(HierarchyFuzz, CountersAreConsistent) {
       ++loads;
     }
   }
-  EXPECT_EQ(m.counters().loads, loads);
-  EXPECT_EQ(m.counters().stores, stores);
+  EXPECT_EQ(r.value("cache.loads"), loads);
+  EXPECT_EQ(r.value("cache.stores"), stores);
   // DRAM reads are a subset of link reads; write-backs cannot exceed
   // the lines ever dirtied.
-  EXPECT_LE(m.counters().dram_reads, m.counters().memlink_line_reads);
-  EXPECT_LE(m.counters().memlink_line_writes, stores);
-  EXPECT_LE(m.counters().dram_writes, m.counters().memlink_line_writes);
+  EXPECT_LE(r.value("cache.dram.read.lines"),
+            r.value("cache.memlink.read.lines"));
+  EXPECT_LE(r.value("cache.memlink.write.lines"), stores);
+  EXPECT_LE(r.value("cache.dram.write.lines"),
+            r.value("cache.memlink.write.lines"));
 }
 
 TEST(Hierarchy, ToStringNames) {

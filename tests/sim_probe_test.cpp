@@ -22,7 +22,7 @@ using common::mib;
 
 ProbeConfig base_config(int dscr = 1) {
   ProbeConfig c;
-  c.hierarchy = HierarchyConfig::from_spec(arch::e870());
+  c.hierarchy = HierarchyConfig::from_spec(arch::e870(), NocParams{});
   c.tlb.page_bytes = 16ull << 20;  // huge pages: no TLB noise
   c.prefetch.dscr = dscr;
   return c;

@@ -11,7 +11,9 @@
 namespace p8::sim {
 namespace {
 
-TrafficConfig e870_cfg() { return TrafficConfig::from_spec(arch::e870()); }
+TrafficConfig e870_cfg() {
+  return TrafficConfig::from_spec(arch::e870(), MemBandwidthParams{});
+}
 
 TEST(TrafficSim, FromSpecRates) {
   const auto c = e870_cfg();
@@ -19,6 +21,13 @@ TEST(TrafficSim, FromSpecRates) {
   EXPECT_NEAR(c.read_link_gbs, 8 * 19.2 * 0.93, 1e-9);
   EXPECT_NEAR(c.write_link_gbs, 8 * 9.6 * 0.958, 1e-9);
   EXPECT_DOUBLE_EQ(c.line_bytes, 128.0);
+  // The link efficiencies are the bandwidth model's, not constants.
+  MemBandwidthParams params;
+  params.read_link_eff = 0.5;
+  params.write_link_eff = 0.25;
+  const auto scaled = TrafficConfig::from_spec(arch::e870(), params);
+  EXPECT_NEAR(scaled.read_link_gbs, 8 * 19.2 * 0.5, 1e-9);
+  EXPECT_NEAR(scaled.write_link_gbs, 8 * 9.6 * 0.25, 1e-9);
 }
 
 TEST(TrafficSim, UnloadedLatencyIsBase) {

@@ -89,7 +89,10 @@ std::vector<unsigned char> slurp(const std::string& path) {
 void spit(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // An empty vector's data() may be null, which fwrite must not get.
+  if (!bytes.empty()) {
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
                       "event-driven simulation vs analytic model vs paper");
 
   const sim::MemoryBandwidthModel analytic(arch::e870());
-  const auto cfg = sim::TrafficConfig::from_spec(arch::e870(),
-                                                 analytic.params());
+  const auto cfg = sim::TrafficConfig::from_spec(
+      arch::e870(), analytic.params(), sim::NocParams{});
 
   auto stream_actors = [&](int chips, int cores, int smt,
                            double write_fraction) {

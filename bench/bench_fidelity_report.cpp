@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
       100.0 * core.run_fma_loop(1, 6).fraction_of_peak, 0.01);
 
   // Event-sim cross-checks (paper values again).
-  const auto cfg =
-      sim::TrafficConfig::from_spec(machine.spec(), machine.memory().params());
+  const auto cfg = sim::TrafficConfig::from_spec(
+      machine.spec(), machine.memory().params(), machine.noc().params());
   {
     std::vector<sim::ActorSpec> actors;
     for (int chip = 0; chip < 8; ++chip)

@@ -207,15 +207,18 @@ echo "serve smoke: clean shutdown, no leaked socket"
 # suite (the shuffle's prefetch ring and the cyclic walk index; the
 # rest of ubench_test is slow under ASan and runs in the Release
 # ctest above) — the cache suite (the packed 8-byte ways, their
-# stamp renumbering and the reference-model property) — and the
+# stamp renumbering, the reference-model properties and the ERAT page
+# list's rotate and shift) — the property suite (random specs through
+# the whole simulator, and the ERAT at every page size) — and the
 # common suite (the huge-page allocator, which under ASan takes its
 # instrumented aligned_alloc path).
 cmake -B build-asan -S . -DP8_SANITIZE=address
 cmake --build build-asan -j --target sim_counters_test sweep_test trace_test \
   machine_predict_test serve_test ubench_test sim_probe_test arch_test \
-  sim_cache_test common_test
+  sim_cache_test sim_property_test common_test
 ./build-asan/tests/arch_test
 ./build-asan/tests/sim_cache_test
+./build-asan/tests/sim_property_test
 ./build-asan/tests/common_test
 ./build-asan/tests/sim_counters_test
 ./build-asan/tests/sweep_test

@@ -277,6 +277,24 @@ AuditReport ModelAudit::system(const arch::SystemSpec& spec) {
                fmt("%d cores per chip exceeds the %s's %d-core maximum",
                    spec.cores_per_chip, spec.processor.name.c_str(),
                    spec.processor.max_cores));
+  // The Centaurs' L4s together form the chip's memory-side cache, and
+  // the processor attaches at most max_l4_bytes of it (128 MB on
+  // POWER8); a bigger sum would simulate an L4 no such chip can have.
+  if (spec.centaurs_per_chip >= 1) {
+    const std::uint64_t chip_l4 =
+        static_cast<std::uint64_t>(spec.centaurs_per_chip) *
+        spec.centaur.l4_bytes;
+    if (chip_l4 > spec.processor.max_l4_bytes)
+      report.add(AuditSeverity::kError, "system.l4-attach",
+                 fmt("%d Centaurs x %llu B of L4 is %llu B per chip, past "
+                     "the %s's %llu B L4 attach limit",
+                     spec.centaurs_per_chip,
+                     static_cast<unsigned long long>(spec.centaur.l4_bytes),
+                     static_cast<unsigned long long>(chip_l4),
+                     spec.processor.name.c_str(),
+                     static_cast<unsigned long long>(
+                         spec.processor.max_l4_bytes)));
+  }
   // The interconnect model builds whole groups and fans A-links only
   // between two of them (arch::Topology): a chip count that is not a
   // whole number of groups, or a shape needing three or more groups,

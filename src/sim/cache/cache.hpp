@@ -2,7 +2,7 @@
 //
 // This is the building block for every level of the POWER8 hierarchy
 // (L1D, L2, local L3, the NUCA remote-L3 pool, and the Centaur L4) and
-// for the ERAT/TLB.  It tracks tags only — the simulator cares about
+// for the TLB.  It tracks tags only — the simulator cares about
 // hit/miss behaviour and evictions (for victim forwarding), not data
 // contents.
 //
@@ -89,8 +89,8 @@ class SetAssocCache {
   /// first invalid way, else the LRU victim (returns false).  State
   /// and LRU clocks end up exactly as `touch(addr)` followed — on the
   /// miss — by `install(addr)`, but the set is scanned once instead of
-  /// twice.  The eviction is discarded, so this fits the translation
-  /// structures (ERAT/TLB), where cast-outs have no downstream.
+  /// twice.  The eviction is discarded, so this fits the TLB, where
+  /// cast-outs have no downstream.
   bool touch_install(std::uint64_t addr);
 
   /// Fused probe + is_dirty + invalidate: removes the line if present

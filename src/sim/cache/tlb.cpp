@@ -1,5 +1,6 @@
 #include "sim/cache/tlb.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/contract.hpp"
@@ -9,13 +10,6 @@ namespace p8::sim {
 
 namespace {
 
-// The ERAT/TLB are modelled as caches over page-granular "lines":
-// capacity = entries * page_bytes with full associativity for the ERAT.
-SetAssocCache make_erat(const TlbConfig& c) {
-  return SetAssocCache(static_cast<std::uint64_t>(c.erat_entries) * c.page_bytes,
-                       c.erat_entries, c.page_bytes);
-}
-
 SetAssocCache make_tlb(const TlbConfig& c) {
   return SetAssocCache(static_cast<std::uint64_t>(c.tlb_entries) * c.page_bytes,
                        c.tlb_ways, c.page_bytes);
@@ -24,48 +18,47 @@ SetAssocCache make_tlb(const TlbConfig& c) {
 }  // namespace
 
 Tlb::Tlb(const TlbConfig& config)
-    : config_(config), erat_(make_erat(config)), tlb_(make_tlb(config)) {
+    : config_(config),
+      erat_(config.erat_entries, kNoPage),
+      tlb_(make_tlb(config)) {
   P8_REQUIRE(config.erat_entries >= 1 && config.tlb_entries >= 1,
              "translation structures need at least one entry");
   P8_REQUIRE(config.tlb_entries % config.tlb_ways == 0,
              "TLB entries must be a whole number of sets");
-  // page_bytes is a power of two (the ERAT constructor enforced it).
+  // page_bytes is a power of two (the TLB constructor enforced it).
   page_shift_ = static_cast<unsigned>(std::countr_zero(config.page_bytes));
-  P8_ENSURE(erat_.ways() == config.erat_entries,
-            "ERAT must be fully associative: one set spanning every entry");
-  P8_ENSURE(erat_.capacity_bytes() ==
-                static_cast<std::uint64_t>(config.erat_entries) *
-                    config.page_bytes,
-            "ERAT reach must be entries * page size");
   P8_ENSURE(tlb_.sets() * tlb_.ways() == config.tlb_entries,
             "TLB geometry must account for every configured entry");
 }
 
 TlbOutcome Tlb::translate(std::uint64_t addr) {
   const std::uint64_t page = addr >> page_shift_;
-  // Last-translation register: the previous access resolved this very
-  // page, so it is ERAT-resident and already MRU in its set — the
-  // touch would only re-promote it, which cannot change any future
-  // victim choice.  Skip the fully-associative scan outright.
-  if (page == last_page_) {
+  std::uint64_t* const erat = erat_.data();
+  // Rank 0 is the last-translation register: nothing to move.
+  if (erat[0] == page) {
     events_.erat_hit.add();
     return TlbOutcome::kEratHit;
   }
-  last_page_ = page;
-  // Fused scan: hit promotes to MRU; miss installs over the invalid/
-  // LRU victim in the same pass (ERAT cast-outs have no downstream).
-  if (erat_.touch_install(addr)) {
+  // Find the page's rank, stopping at the last slot: on a hit slots
+  // 0..r-1 move back one place over it, on a miss they move back over
+  // the last slot (empty or LRU), and the page takes slot 0 either way.
+  const std::size_t last = erat_.size() - 1;
+  std::size_t r = 0;
+  while (r < last && erat[r] != page) ++r;
+  const bool hit = erat[r] == page;
+  std::copy_backward(erat, erat + r, erat + r + 1);
+  erat[0] = page;
+  if (hit) {
     events_.erat_hit.add();
     return TlbOutcome::kEratHit;
   }
   events_.erat_miss.add();
-  if (tlb_.touch(addr)) {
+  if (tlb_.touch_install(addr)) {
     events_.tlb_hit.add();
     return TlbOutcome::kTlbHit;
   }
   events_.walk.add();
-  tlb_.install(addr);
-  P8_ENSURE(erat_.probe(addr) && tlb_.probe(addr),
+  P8_ENSURE(erat[0] == page && tlb_.probe(addr),
             "a walk must leave the page resident in both ERAT and TLB");
   return TlbOutcome::kWalk;
 }
@@ -92,10 +85,11 @@ double Tlb::penalty_ns(TlbOutcome outcome) const {
 }
 
 void Tlb::clear() {
-  erat_.clear();
+  std::fill(erat_.begin(), erat_.end(), kNoPage);
   tlb_.clear();
-  last_page_ = ~std::uint64_t{0};
-  P8_ENSURE(erat_.resident_lines() == 0 && tlb_.resident_lines() == 0,
+  P8_ENSURE(std::all_of(erat_.begin(), erat_.end(),
+                        [](std::uint64_t p) { return p == kNoPage; }) &&
+                tlb_.resident_lines() == 0,
             "clear must empty both translation structures");
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/cache/cache.hpp"
 #include "sim/counters.hpp"
@@ -39,13 +40,11 @@ class Tlb {
   TlbOutcome translate(std::uint64_t addr);
 
   /// True when `addr` lies on the page the previous translate()
-  /// resolved — the last-translation register.  A hit here guarantees
-  /// the page is ERAT-resident *and* already the most recently used
-  /// entry of its set (nothing has touched the ERAT since), so the
-  /// full translate — including its MRU re-promotion — can be skipped
-  /// without changing any future replacement decision.
+  /// resolved — the last-translation register, which is the ERAT's
+  /// most recently used slot.  A hit there moves nothing, so callers
+  /// may treat such an access as translated for free.
   bool last_page_matches(std::uint64_t addr) const {
-    return (addr >> page_shift_) == last_page_;
+    return (addr >> page_shift_) == erat_[0];
   }
 
   /// Extra latency charged for `outcome`.
@@ -67,13 +66,20 @@ class Tlb {
   void clear();
 
  private:
+  /// Marks an empty ERAT slot; no page number can reach it, addresses
+  /// being far below 2^64 - page_bytes.
+  static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
+
   TlbConfig config_;
-  SetAssocCache erat_;
+  /// The fully-associative ERAT as erat_entries page numbers ordered
+  /// from most to least recently used, empty slots (kNoPage) last.  A
+  /// hit rotates its page to the front; a miss shifts every slot back,
+  /// dropping the last one — an empty slot while there is one, else
+  /// the LRU page — which is exactly true-LRU with empty ways filled
+  /// first.  The victim is a position, not a fold over LRU stamps.
+  std::vector<std::uint64_t> erat_;
   SetAssocCache tlb_;
   unsigned page_shift_;  ///< log2(page_bytes): page extraction by shift
-  /// Page number of the last translate(); ~0 = none (no page number
-  /// can reach it, addresses being far below 2^64 - page_bytes).
-  std::uint64_t last_page_ = ~std::uint64_t{0};
   struct {
     Counter erat_hit, erat_miss, tlb_hit, walk;
   } events_;

@@ -7,13 +7,15 @@
 namespace p8::sim {
 
 TrafficConfig TrafficConfig::from_spec(const arch::SystemSpec& spec,
-                                       const MemBandwidthParams& params) {
+                                       const MemBandwidthParams& params,
+                                       const NocParams& noc) {
   TrafficConfig c;
   c.chips = spec.total_chips();
   c.read_link_gbs =
       spec.centaurs_per_chip * spec.centaur.read_link_gbs * params.read_link_eff;
   c.write_link_gbs = spec.centaurs_per_chip * spec.centaur.write_link_gbs *
                      params.write_link_eff;
+  c.base_latency_ns = noc.local_dram_latency_ns;
   c.line_bytes = static_cast<double>(spec.processor.cache_line_bytes);
   return c;
 }

@@ -28,6 +28,7 @@
 
 #include "arch/spec.hpp"
 #include "sim/mem/bandwidth.hpp"
+#include "sim/noc/noc.hpp"
 
 namespace p8::sim {
 
@@ -44,9 +45,11 @@ struct TrafficConfig {
   double line_bytes = 128.0;
 
   /// Link rates are the spec's Centaur link speeds scaled by the
-  /// bandwidth model's sustained read/write link efficiencies.
+  /// bandwidth model's sustained read/write link efficiencies; the
+  /// base latency is the NoC's local DRAM latency.
   static TrafficConfig from_spec(const arch::SystemSpec& spec,
-                                 const MemBandwidthParams& params);
+                                 const MemBandwidthParams& params,
+                                 const NocParams& noc);
 };
 
 /// One closed-loop request generator.

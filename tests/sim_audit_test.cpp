@@ -12,6 +12,7 @@
 #include "common/units.hpp"
 #include "sim/audit.hpp"
 #include "sim/machine/machine.hpp"
+#include "sim/machine/spec.hpp"
 
 namespace p8::sim {
 namespace {
@@ -187,6 +188,26 @@ TEST(ModelAudit, RejectsSubUnityHopAmplification) {
   const AuditReport report = ModelAudit::noc(p);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("noc.efficiency-range")) << report.to_string();
+}
+
+TEST(ModelAudit, RejectsL4PastTheProcessorAttach) {
+  // Eight 64 MB Centaur L4s make 512 MB per chip; a POWER8 attaches at
+  // most 128 MB.
+  arch::SystemSpec spec = arch::e870();
+  spec.centaur.l4_bytes = common::mib(64);
+  const AuditReport report = ModelAudit::system(spec);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.has("system.l4-attach")) << report.to_string();
+  // At the limit is legal: every preset, and 4 x 32 MB on the
+  // checked-in e870-centaur4 spec.
+  for (const std::string& name : machine_names())
+    EXPECT_TRUE(machine_spec(name).audit().diagnostics.empty()) << name;
+  const MachineSpec at_limit = load_machine_spec(
+      std::string(P8_TEST_SPEC_DIR) + "/e870-centaur4-l4-32m.json");
+  EXPECT_EQ(at_limit.system.centaurs_per_chip * at_limit.system.centaur.l4_bytes,
+            at_limit.system.processor.max_l4_bytes);
+  EXPECT_TRUE(at_limit.audit().diagnostics.empty())
+      << at_limit.audit().to_string();
 }
 
 TEST(ModelAudit, RejectsImpossibleSmtWidth) {

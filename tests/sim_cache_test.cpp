@@ -1,6 +1,7 @@
 // Tests for the cache, TLB and hierarchy simulators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -192,6 +193,97 @@ TEST(Tlb, PenaltiesOrdered) {
   EXPECT_GT(tlb.penalty_ns(TlbOutcome::kTlbHit), 0.0);
   EXPECT_GT(tlb.penalty_ns(TlbOutcome::kWalk),
             tlb.penalty_ns(TlbOutcome::kTlbHit));
+}
+
+/// The ERAT as a one-set, erat_entries-way SetAssocCache over pages in
+/// front of the TLB cache, beside a last-translation register, with
+/// touch then install on a walk: the reference that Tlb's page list must
+/// reproduce outcome for outcome.
+class CacheErat {
+ public:
+  explicit CacheErat(const TlbConfig& c)
+      : erat_(std::uint64_t{c.erat_entries} * c.page_bytes, c.erat_entries,
+              c.page_bytes),
+        tlb_(std::uint64_t{c.tlb_entries} * c.page_bytes, c.tlb_ways,
+             c.page_bytes),
+        page_bytes_(c.page_bytes) {}
+
+  bool last_page_matches(std::uint64_t addr) const {
+    return addr / page_bytes_ == last_page_;
+  }
+
+  TlbOutcome translate(std::uint64_t addr) {
+    last_page_ = addr / page_bytes_;
+    if (erat_.touch(addr)) return TlbOutcome::kEratHit;
+    erat_.install(addr);
+    if (tlb_.touch(addr)) return TlbOutcome::kTlbHit;
+    tlb_.install(addr);
+    return TlbOutcome::kWalk;
+  }
+
+  void clear() {
+    erat_.clear();
+    tlb_.clear();
+    last_page_ = kNone;
+  }
+
+ private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  SetAssocCache erat_;
+  SetAssocCache tlb_;
+  std::uint64_t page_bytes_;
+  std::uint64_t last_page_ = kNone;
+};
+
+TEST(TlbProperty, PageListMatchesOneSetCache) {
+  // Every ERAT size, page size and TLB size below, under random page
+  // streams spanning inside, exactly at and 40x past the ERAT's reach,
+  // with a clear() partway through.  A quarter of the accesses stay on
+  // the previous page, the last-translation register's case.
+  P8_PROP(gen, 4, 0x5e7a11) {
+    for (const unsigned entries : {1u, 2u, 48u})
+      for (const std::uint64_t page : {kib(4), kib(64), mib(16)})
+        for (const unsigned tlb_entries : {64u, 2048u})
+          for (const std::uint64_t span :
+               {std::uint64_t{std::max(1u, entries - 1)},
+                std::uint64_t{entries}, std::uint64_t{40} * entries}) {
+            TlbConfig cfg;
+            cfg.erat_entries = entries;
+            cfg.page_bytes = page;
+            cfg.tlb_entries = tlb_entries;
+            Tlb tlb(cfg);
+            CounterRegistry reg;
+            tlb.attach_counters(&reg, "t");
+            CacheErat ref(cfg);
+            const std::uint64_t base = gen.range(0, 1u << 20);
+            const int ops = 1500;
+            const int clear_at = gen.int_range(0, ops - 1);
+            std::uint64_t addr = 0;
+            std::uint64_t outcomes[3] = {};
+            for (int op = 0; op < ops && !HasFailure(); ++op) {
+              if (op == clear_at) {
+                tlb.clear();
+                ref.clear();
+              }
+              const std::uint64_t p = gen.chance(0.25)
+                                          ? addr / page
+                                          : base + gen.range(0, span - 1);
+              addr = p * page + gen.range(0, page - 1);
+              ASSERT_EQ(tlb.last_page_matches(addr),
+                        ref.last_page_matches(addr))
+                  << "op " << op << ", " << entries << " entries, span "
+                  << span << " pages of " << page << " B";
+              const TlbOutcome out = tlb.translate(addr);
+              ASSERT_EQ(out, ref.translate(addr))
+                  << "op " << op << ", " << entries << " entries, span "
+                  << span << " pages of " << page << " B";
+              ++outcomes[static_cast<int>(out)];
+            }
+            EXPECT_EQ(reg.value("t.erat.hit"), outcomes[0]);
+            EXPECT_EQ(reg.value("t.tlb.hit"), outcomes[1]);
+            EXPECT_EQ(reg.value("t.walk"), outcomes[2]);
+          }
+  }
 }
 
 // ------------------------------------------------------------- hierarchy ---

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "arch/spec.hpp"
+#include "sim/machine/spec.hpp"
 #include "sim/machine/traffic_sim.hpp"
 #include "sim/mem/bandwidth.hpp"
 
@@ -12,7 +14,8 @@ namespace p8::sim {
 namespace {
 
 TrafficConfig e870_cfg() {
-  return TrafficConfig::from_spec(arch::e870(), MemBandwidthParams{});
+  return TrafficConfig::from_spec(arch::e870(), MemBandwidthParams{},
+                                  NocParams{});
 }
 
 TEST(TrafficSim, FromSpecRates) {
@@ -25,9 +28,21 @@ TEST(TrafficSim, FromSpecRates) {
   MemBandwidthParams params;
   params.read_link_eff = 0.5;
   params.write_link_eff = 0.25;
-  const auto scaled = TrafficConfig::from_spec(arch::e870(), params);
+  const auto scaled =
+      TrafficConfig::from_spec(arch::e870(), params, NocParams{});
   EXPECT_NEAR(scaled.read_link_gbs, 8 * 19.2 * 0.5, 1e-9);
   EXPECT_NEAR(scaled.write_link_gbs, 8 * 9.6 * 0.25, 1e-9);
+}
+
+TEST(TrafficSim, FromSpecReadsTheDramLatency) {
+  // The checked-in e870-centaur4 spec with a 110 ns local DRAM: every
+  // request's base latency is the spec's, not the 95 ns default.
+  const MachineSpec spec = load_machine_spec(
+      std::string(P8_TEST_SPEC_DIR) + "/e870-centaur4-l4-32m.json");
+  ASSERT_EQ(spec.noc.local_dram_latency_ns, 110.0);
+  const auto cfg = TrafficConfig::from_spec(spec.system, spec.mem, spec.noc);
+  EXPECT_EQ(cfg.base_latency_ns, 110.0);
+  EXPECT_EQ(e870_cfg().base_latency_ns, 95.0);
 }
 
 TEST(TrafficSim, UnloadedLatencyIsBase) {

@@ -4,10 +4,15 @@
 // machine's round-trip MachineSpec JSON plus the query's canonical
 // JSON (protocol.hpp) — so two requests that mean the same sweep
 // point always address the same entry, however they were spelled on
-// the wire.  The 64-bit FNV-1a digest of those bytes is the cache
-// address; the full byte string is kept alongside and compared on
-// every lookup, so a digest collision degrades to a miss, never to a
-// wrong answer.
+// the wire.
+//
+// Machine JSON is interned by content: intern() hands out one shared
+// copy per distinct byte string, released when the last entry or
+// caller handle holding it goes.  Equal bytes give the same copy, so
+// an entry is keyed by (interned machine, query bytes) and the index
+// hashes and compares only the query bytes plus the machine copy's
+// address — a lookup never touches the ~1.4 KB spec, and each entry
+// stores its query bytes once, viewed (not copied) by the index.
 //
 // Concurrency contract (what makes `serve.cache_hits` a deterministic
 // function of the query stream): lookups are *single-flight*.  The
@@ -23,11 +28,14 @@
 // at capacities 1, 2 and a non-divisor of the key population.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,12 +51,12 @@ std::uint64_t fnv1a64(const std::string& bytes);
 std::string cache_key(const std::string& machine_json,
                       const std::string& query_json);
 
-/// The content address: fnv1a64 over cache_key.
-std::uint64_t cache_key_hash(const std::string& machine_json,
-                             const std::string& query_json);
-
 class ResultCache {
  public:
+  /// An interned machine JSON: every handle to equal bytes points at
+  /// the same copy.
+  using Machine = std::shared_ptr<const std::string>;
+
   /// `capacity` >= 1: the maximum number of completed entries.
   explicit ResultCache(std::size_t capacity);
 
@@ -60,13 +68,20 @@ class ResultCache {
     bool cached = false;
   };
 
-  /// Returns the cached value for (machine_json, query_json), or runs
-  /// `compute`, memoizes its result and returns it.  `compute` runs
-  /// outside the cache lock; concurrent callers with the same key
-  /// block until it finishes and then read the memoized value.  If
-  /// `compute` throws, the in-flight entry is removed (waiters see
-  /// the failure rethrown as std::runtime_error) and the next caller
-  /// retries.
+  /// The shared copy of `machine_json`, made on first sight.
+  Machine intern(const std::string& machine_json);
+
+  /// Returns the cached value for (machine, query_json), or runs
+  /// `compute`, memoizes its result and returns it.  `machine` must
+  /// come from this cache's intern().  `compute` runs outside the
+  /// cache lock; concurrent callers with the same key block until it
+  /// finishes and then read the memoized value.  If `compute` throws,
+  /// the in-flight entry is removed (waiters see the failure rethrown
+  /// as std::runtime_error) and the next caller retries.
+  Outcome get_or_compute(const Machine& machine, const std::string& query_json,
+                         const std::function<double()>& compute);
+
+  /// intern(machine_json), then the handle lookup above.
   Outcome get_or_compute(const std::string& machine_json,
                          const std::string& query_json,
                          const std::function<double()>& compute);
@@ -81,6 +96,10 @@ class ResultCache {
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
+  /// Distinct machine JSONs interned and still held by an entry or a
+  /// caller's handle.
+  std::size_t machines() const;
+
   /// The resident keys, most-recently-used first — the LRU contract
   /// the black-box tests pin.  Keys are full cache_key() byte strings.
   std::vector<std::string> keys_mru_order() const;
@@ -93,22 +112,42 @@ class ResultCache {
   void set_debug_value_skew(double skew);
 
  private:
+  /// The intern table, shared with every handle's deleter so a handle
+  /// may outlive the cache.
+  struct Interned;
+
   struct Entry {
-    std::string key;
+    Machine machine;
+    std::string query;
     double value = 0.0;
     bool ready = false;
   };
   using LruList = std::list<Entry>;
 
+  /// An index key: the machine copy's address and a view of query
+  /// bytes (an entry's own, or the caller's for a lookup).
+  struct KeyView {
+    const std::string* machine;
+    std::string_view query;
+    bool operator==(const KeyView& o) const {
+      return machine == o.machine && query == o.query;
+    }
+  };
+  struct KeyHash {
+    std::size_t operator()(const KeyView& k) const;
+  };
+  static KeyView key_of(const Entry& e) { return {e.machine.get(), e.query}; }
+
   void evict_excess_locked();
 
   const std::size_t capacity_;
+  const std::shared_ptr<Interned> interned_;
   mutable std::mutex mutex_;
   std::condition_variable ready_cv_;
   /// Front = most recently used.  In-flight entries live in the list
   /// too (at the front) but are skipped by eviction.
   LruList lru_;
-  std::unordered_map<std::string, LruList::iterator> index_;
+  std::unordered_map<KeyView, LruList::iterator, KeyHash> index_;
   Stats stats_;
   double debug_value_skew_ = 0.0;
 };

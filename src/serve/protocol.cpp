@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/json.hpp"
 
@@ -15,27 +16,46 @@ using common::Json;
   throw std::invalid_argument(what);
 }
 
-/// An integral member in [lo, hi]; `what` names it in diagnostics.
-std::uint64_t u64_member(const Json& v, const std::string& what,
-                         std::uint64_t lo, std::uint64_t hi) {
-  const double raw = v.as_number(what);
+/// A member's name in diagnostics: "path.key", or `path` alone when
+/// `key` is empty.  Spelled out only when a check fails.
+struct Name {
+  std::string_view path;
+  std::string_view key;
+  std::string str() const {
+    std::string name(path);
+    if (!key.empty()) name.append(".").append(key);
+    return name;
+  }
+};
+
+double number_member(const Json& v, const Name& what) {
+  return v.is_number() ? v.number : v.as_number(what.str());
+}
+
+const std::string& string_member(const Json& v, const Name& what) {
+  return v.is_string() ? v.string : v.as_string(what.str());
+}
+
+/// An integral member in [lo, hi].
+std::uint64_t u64_member(const Json& v, const Name& what, std::uint64_t lo,
+                         std::uint64_t hi) {
+  const double raw = number_member(v, what);
   if (!(raw >= 0.0) || raw != std::floor(raw) || raw > 9.007199254740992e15)
-    fail("request: " + what + " must be a non-negative integer");
+    fail("request: " + what.str() + " must be a non-negative integer");
   const std::uint64_t n = static_cast<std::uint64_t>(raw);
   if (n < lo || n > hi)
-    fail("request: " + what + " must be between " + std::to_string(lo) +
-         " and " + std::to_string(hi));
+    fail("request: " + what.str() + " must be between " +
+         std::to_string(lo) + " and " + std::to_string(hi));
   return n;
 }
 
-int int_member(const Json& v, const std::string& what, int lo, int hi) {
+int int_member(const Json& v, const Name& what, int lo, int hi) {
   return static_cast<int>(u64_member(v, what,
                                      static_cast<std::uint64_t>(lo),
                                      static_cast<std::uint64_t>(hi)));
 }
 
-predict::Query::Kind parse_kind(const std::string& name,
-                                const std::string& what) {
+predict::Query::Kind parse_kind(const std::string& name, const Name& what) {
   if (name == "chase-latency") return predict::Query::Kind::kChaseLatency;
   if (name == "stream-latency") return predict::Query::Kind::kStreamLatency;
   if (name == "stream-bandwidth")
@@ -43,18 +63,18 @@ predict::Query::Kind parse_kind(const std::string& name,
   if (name == "random-bandwidth")
     return predict::Query::Kind::kRandomBandwidth;
   if (name == "noc-latency") return predict::Query::Kind::kNocLatency;
-  fail("request: " + what +
+  fail("request: " + what.str() +
        " must be one of chase-latency|stream-latency|stream-bandwidth|"
        "random-bandwidth|noc-latency, got \"" +
        name + "\"");
 }
 
 ubench::ChasePattern parse_pattern(const std::string& name,
-                                   const std::string& what) {
+                                   const Name& what) {
   if (name == "random") return ubench::ChasePattern::kRandom;
   if (name == "forward-stride") return ubench::ChasePattern::kForwardStride;
   if (name == "backward-stride") return ubench::ChasePattern::kBackwardStride;
-  fail("request: " + what +
+  fail("request: " + what.str() +
        " must be one of random|forward-stride|backward-stride, got \"" +
        name + "\"");
 }
@@ -76,9 +96,9 @@ predict::Query parse_query(const Json& v, const std::string& path) {
   predict::Query q;
   bool have_kind = false;
   for (const auto& [key, value] : v.object) {
-    const std::string where = path + "." + key;
+    const Name where{path, key};
     if (key == "kind") {
-      q.kind = parse_kind(value.as_string(where), where);
+      q.kind = parse_kind(string_member(value, where), where);
       have_kind = true;
     } else if (key == "footprint_bytes") {
       q.footprint_bytes = u64_member(value, where, 1, 1ull << 32);
@@ -87,7 +107,7 @@ predict::Query parse_query(const Json& v, const std::string& path) {
     } else if (key == "dscr") {
       q.dscr = int_member(value, where, 0, 7);
     } else if (key == "pattern") {
-      q.pattern = parse_pattern(value.as_string(where), where);
+      q.pattern = parse_pattern(string_member(value, where), where);
     } else if (key == "stride_lines") {
       q.stride_lines = u64_member(value, where, 1, 1ull << 20);
     } else if (key == "consumer_chip") {
@@ -95,9 +115,9 @@ predict::Query parse_query(const Json& v, const std::string& path) {
     } else if (key == "home_chip") {
       q.home_chip = int_member(value, where, 0, 4096);
     } else if (key == "read") {
-      q.mix.read = value.as_number(where);
+      q.mix.read = number_member(value, where);
     } else if (key == "write") {
-      q.mix.write = value.as_number(where);
+      q.mix.write = number_member(value, where);
     } else if (key == "chips") {
       q.chips = int_member(value, where, 1, 4096);
     } else if (key == "cores") {
@@ -107,7 +127,7 @@ predict::Query parse_query(const Json& v, const std::string& path) {
     } else if (key == "streams") {
       q.streams = int_member(value, where, 1, 4096);
     } else {
-      fail("request: unknown member \"" + where + "\"");
+      fail("request: unknown member \"" + where.str() + "\"");
     }
   }
   if (!have_kind) fail("request: " + path + " is missing \"kind\"");
@@ -150,7 +170,7 @@ Request parse_request(const std::string& line) {
       }
       have_verb = true;
     } else if (key == "id") {
-      r.id = u64_member(value, "request: id", 0,
+      r.id = u64_member(value, Name{"request: id", {}}, 0,
                         9007199254740992ull /* 2^53 */);
     } else if (key == "machine") {
       machine = &value;
@@ -208,7 +228,7 @@ std::optional<std::uint64_t> request_id_best_effort(
     const Json doc = Json::parse(line);
     const Json* id = doc.find("id");
     if (id == nullptr) return std::nullopt;
-    return u64_member(*id, "request: id", 0, 9007199254740992ull);
+    return u64_member(*id, Name{"request: id", {}}, 0, 9007199254740992ull);
   } catch (const std::exception&) {
     return std::nullopt;
   }

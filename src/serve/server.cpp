@@ -67,12 +67,14 @@ void validate_queries(const Request& request, const sim::MachineSpec& spec) {
 /// All per-machine answering state: the two-tier router plus the
 /// task-graph dispatcher for batched fallbacks, both on the server's
 /// shared pool.  Keyed (and LRU-evicted) by the machine's canonical
-/// JSON; shared_ptr keeps an evicted machine alive for requests
-/// already holding it.  The two request selectors let a repeat request
-/// find its machine without resolving, auditing or serializing the
-/// spec again.
+/// JSON, held as the result cache's interned copy so every cache
+/// lookup for this machine passes the handle, not the bytes;
+/// shared_ptr keeps an evicted machine alive for requests already
+/// holding it.  The two request selectors let a repeat request find
+/// its machine without resolving, auditing or serializing the spec
+/// again.
 struct Server::MachineState {
-  std::string canonical_json;
+  const ResultCache::Machine canonical_json;
   /// Compact dump of canonical_json: exactly what parse_request makes
   /// of an inline spec written in schema order.
   std::string inline_json;
@@ -82,10 +84,10 @@ struct Server::MachineState {
   predict::QueryRouter router;
   sim::SweepRunner dispatch;
 
-  MachineState(const sim::MachineSpec& spec, std::string canonical,
+  MachineState(const sim::MachineSpec& spec, ResultCache::Machine canonical,
                common::ThreadPool& pool)
       : canonical_json(std::move(canonical)),
-        inline_json(common::json_dump(common::Json::parse(canonical_json))),
+        inline_json(common::json_dump(common::Json::parse(*canonical_json))),
         router(spec, pool),
         dispatch(pool) {
     dispatch.set_task_label("serve-sim");
@@ -181,14 +183,14 @@ std::shared_ptr<Server::MachineState> Server::resolve_machine(
 
   std::lock_guard<std::mutex> lock(machines_mutex_);
   for (auto it = machines_.begin(); it != machines_.end(); ++it) {
-    if ((*it)->canonical_json != canonical) continue;
+    if (*(*it)->canonical_json != canonical) continue;
     if (!request.machine_name.empty())
       (*it)->preset_name = request.machine_name;
     machines_.splice(machines_.begin(), machines_, it);
     return machines_.front();
   }
   auto state = std::make_shared<MachineState>(
-      sim::MachineSpec::from_json(canonical), canonical, pool_);
+      sim::MachineSpec::from_json(canonical), cache_.intern(canonical), pool_);
   state->preset_name = request.machine_name;
   machines_.push_front(state);
   std::uint64_t evicted = 0;
@@ -206,7 +208,6 @@ std::shared_ptr<Server::MachineState> Server::resolve_machine(
 
 std::string Server::handle_query(const Request& request) {
   const std::shared_ptr<MachineState> state = resolve_machine(request);
-  const std::string& canonical = state->canonical_json;
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);
     queries_.add(request.queries.size());
@@ -229,7 +230,7 @@ std::string Server::handle_query(const Request& request) {
   const auto compute_one = [&](std::size_t i) {
     const predict::Query& q = request.queries[i];
     return cache_.get_or_compute(
-        canonical, query_canonical_json(q),
+        state->canonical_json, query_canonical_json(q),
         [&] { return state->router.answer(q).value; });
   };
 
@@ -301,10 +302,12 @@ std::string Server::handle_line(const std::string& line) {
 std::vector<std::pair<std::string, std::uint64_t>>
 Server::counters_snapshot() {
   const ResultCache::Stats stats = cache_.stats();
+  const std::size_t machines = cache_.machines();
   std::lock_guard<std::mutex> lock(counters_mutex_);
   *registry_.slot("serve.cache_hits") = stats.hits;
   *registry_.slot("serve.cache_misses") = stats.misses;
   *registry_.slot("serve.cache_evictions") = stats.evictions;
+  *registry_.slot("serve.cache_machines") = machines;
   return registry_.snapshot();
 }
 

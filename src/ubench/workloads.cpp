@@ -22,9 +22,16 @@ namespace {
 /// drawn kAhead steps early (the RNG calls keep their order, so the
 /// permutation is unchanged) and its slot prefetched, letting the host
 /// cache misses overlap instead of serializing.
-std::vector<std::uint32_t> sattolo_order(std::uint64_t n, std::uint64_t seed) {
+///
+/// Element 0 sits in slot 0 until the first step whose partner is
+/// slot 0 moves it into that step's slot, which no later step touches
+/// (the last step's partner is always slot 0, so it does move when
+/// n >= 2).  That slot is the chain's start, kept without a search.
+ChaseChain sattolo_chain(std::uint64_t n, std::uint64_t seed) {
   P8_REQUIRE(n >= 1, "empty permutation");
-  std::vector<std::uint32_t> order(n);
+  ChaseChain chain;
+  std::vector<std::uint32_t>& order = chain.order;
+  order.resize(n);
   std::iota(order.begin(), order.end(), 0u);
   common::Xoshiro256 rng(seed);
   constexpr std::uint64_t kAhead = 16;  // power of two: ring index is a mask
@@ -41,8 +48,9 @@ std::vector<std::uint32_t> sattolo_order(std::uint64_t n, std::uint64_t seed) {
     const std::uint64_t j = partner[s & (kAhead - 1)];
     if (s + kAhead < steps) draw(s + kAhead);
     std::swap(order[n - 1 - s], order[j]);
+    if (j == 0 && order[n - 1 - s] == 0) chain.start = n - 1 - s;
   }
-  return order;
+  return chain;
 }
 
 /// ns per access over the window from the measure mark to the end of
@@ -58,39 +66,37 @@ double window_latency_ns(const sim::LatencyProbe& probe,
 
 }  // namespace
 
-void emit_chase_trace(std::uint64_t line_bytes, const ChaseOptions& options,
-                      trace::TraceSink& sink) {
-  const std::uint64_t lines = std::max<std::uint64_t>(
-      1, options.working_set_bytes / line_bytes);
-
+ChaseChain chase_chain(std::uint64_t lines, const ChaseOptions& options) {
   // order[] holds uint32 line indices: past 2^32 lines the indices
   // would wrap and the chain would no longer be one cycle over every
   // line.
   P8_REQUIRE(lines <= (std::uint64_t{1} << 32),
              "chase working set exceeds 2^32 cache lines");
-
-  // Build the chase chain as a visiting order: the line after
-  // order[k] is order[(k + 1) % lines].
-  std::vector<std::uint32_t> order;
-  switch (options.pattern) {
-    case ChasePattern::kRandom:
-      order = sattolo_order(lines, options.seed);
-      break;
-    case ChasePattern::kForwardStride:
-    case ChasePattern::kBackwardStride: {
-      // lmbench's strided chain: walk every stride-th line, then the
-      // next offset, until every line is covered exactly once per lap.
-      P8_REQUIRE(options.stride_lines >= 1, "stride must be positive");
-      order.reserve(lines);
-      for (std::uint64_t offset = 0;
-           offset < options.stride_lines && offset < lines; ++offset)
-        for (std::uint64_t i = offset; i < lines; i += options.stride_lines)
-          order.push_back(static_cast<std::uint32_t>(i));
-      if (options.pattern == ChasePattern::kBackwardStride)
-        std::reverse(order.begin(), order.end());
-      break;
-    }
+  if (options.pattern == ChasePattern::kRandom)
+    return sattolo_chain(lines, options.seed);
+  // lmbench's strided chain: walk every stride-th line, then the next
+  // offset, until every line is covered exactly once per lap.  Line 0
+  // comes first, or last once a backward chain is reversed.
+  P8_REQUIRE(options.stride_lines >= 1, "stride must be positive");
+  ChaseChain chain;
+  chain.order.reserve(lines);
+  for (std::uint64_t offset = 0;
+       offset < options.stride_lines && offset < lines; ++offset)
+    for (std::uint64_t i = offset; i < lines; i += options.stride_lines)
+      chain.order.push_back(static_cast<std::uint32_t>(i));
+  if (options.pattern == ChasePattern::kBackwardStride) {
+    std::reverse(chain.order.begin(), chain.order.end());
+    chain.start = lines - 1;
   }
+  return chain;
+}
+
+void emit_chase_trace(std::uint64_t line_bytes, const ChaseOptions& options,
+                      trace::TraceSink& sink) {
+  const std::uint64_t lines = std::max<std::uint64_t>(
+      1, options.working_set_bytes / line_bytes);
+  const ChaseChain chain = chase_chain(lines, options);
+  const std::vector<std::uint32_t>& order = chain.order;
 
   // Warm: enough laps to reach the steady-state cache distribution.
   const std::uint64_t warm = std::min<std::uint64_t>(
@@ -99,8 +105,7 @@ void emit_chase_trace(std::uint64_t line_bytes, const ChaseOptions& options,
       std::max<std::uint64_t>(1, std::min(options.measure_accesses, lines));
 
   // The chase starts at line 0 and walks the order cyclically.
-  std::uint64_t k = static_cast<std::uint64_t>(
-      std::find(order.begin(), order.end(), 0u) - order.begin());
+  std::uint64_t k = chain.start;
   const auto walk = [&](std::uint64_t accesses) {
     for (std::uint64_t i = 0; i < accesses; ++i) {
       sink.access(order[k] * line_bytes);

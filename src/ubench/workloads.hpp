@@ -128,6 +128,19 @@ double dcbt_block_bandwidth_gbs(const sim::Machine& machine,
 // above feed a ChunkedReplayer; `p8trace record` feeds a TraceWriter;
 // both see one stream, never materialized.
 
+/// A pointer-chase chain as a visiting order over line indices: the
+/// line after order[k] is order[(k + 1) % order.size()].  Every chase
+/// starts at line 0, which sits in slot `start`.
+struct ChaseChain {
+  std::vector<std::uint32_t> order;
+  std::uint64_t start = 0;
+};
+
+/// The chain emit_chase_trace walks over `lines` lines: Sattolo's
+/// random single cycle seeded by `options.seed`, or lmbench's strided
+/// chain.  Throws past 2^32 lines.
+ChaseChain chase_chain(std::uint64_t lines, const ChaseOptions& options);
+
 /// The pointer chase of chase_latency_ns (warm laps, mark, measured
 /// laps).  `line_bytes` is the machine's cache-line size.
 void emit_chase_trace(std::uint64_t line_bytes, const ChaseOptions& options,

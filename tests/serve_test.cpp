@@ -21,7 +21,8 @@
 //    or a non-socket file is refused.
 //
 // Concurrency-heavy cases carry "Concurrent" in their names so the
-// CI TSan job can select them with --gtest_filter=*Concurrent*.
+// CI TSan job can select them with --gtest_filter=*Concurrent*; it
+// runs the ServeCacheTest suite too.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -469,7 +470,6 @@ TEST(ServeCacheTest, Fnv1a64MatchesReferenceVectors) {
 
 TEST(ServeCacheTest, KeyIsMachinePlusQueryBytes) {
   EXPECT_EQ(serve::cache_key("m", "q"), "m\nq");
-  EXPECT_EQ(serve::cache_key_hash("m", "q"), serve::fnv1a64("m\nq"));
   // The separator keeps (machine, query) splits distinct.
   EXPECT_NE(serve::cache_key("ab", "c"), serve::cache_key("a", "bc"));
 }
@@ -604,6 +604,76 @@ TEST(ServeCacheTest, DebugSkewPerturbsStoredValueOnly) {
   EXPECT_EQ(hit.value, 2.5);  // the memoized copy is skewed
 }
 
+TEST(ServeCacheTest, EqualMachineBytesShareOneCopy) {
+  serve::ResultCache cache(2);
+  const auto value = [] { return 1.0; };
+  serve::ResultCache::Machine m = cache.intern("m");
+  EXPECT_EQ(cache.intern(std::string("m")).get(), m.get());
+  EXPECT_NE(cache.intern("n").get(), m.get());
+  EXPECT_EQ(cache.machines(), 1u);  // "n" went with its last handle
+  // An entry keeps its machine after the caller lets go, and the
+  // string overload interns to the same copy, so it hits.
+  EXPECT_FALSE(cache.get_or_compute(m, "q0", value).cached);
+  m.reset();
+  EXPECT_EQ(cache.machines(), 1u);
+  EXPECT_TRUE(cache.get_or_compute("m", "q0", value).cached);
+  // Evicting the last entry naming "m" releases it.
+  cache.get_or_compute("n", "q1", value);
+  cache.get_or_compute("n", "q2", value);
+  EXPECT_EQ(cache.keys_mru_order(),
+            (std::vector<std::string>{serve::cache_key("n", "q2"),
+                                      serve::cache_key("n", "q1")}));
+  EXPECT_EQ(cache.machines(), 1u);
+
+  // A handle may outlive its cache.
+  serve::ResultCache::Machine survivor;
+  {
+    serve::ResultCache short_lived(1);
+    survivor = short_lived.intern("s");
+    short_lived.get_or_compute(survivor, "q", value);
+  }
+  EXPECT_EQ(*survivor, "s");
+}
+
+TEST(ServeCacheTest, InternedMachinesFollowEntriesAndLoadedMachines) {
+  serve::ServerOptions options = daemon_options();
+  options.cache_capacity = 4;
+  options.machine_capacity = 1;
+  serve::Server server(options);
+  // e870 under a numbered name: audit-clean, and a distinct machine.
+  const auto renamed_e870 = [](int k) {
+    common::Json doc =
+        common::Json::parse(sim::machine_spec("e870").to_json());
+    for (auto& [key, value] : doc.object)
+      if (key == "name") value.string += " #" + std::to_string(k);
+    return common::json_dump(doc);
+  };
+  // The gauge must equal the distinct machines resident entries name
+  // plus the one loaded machine (capacity 1: the last one queried).
+  std::vector<std::uint64_t> gauge;
+  const auto query = [&](int k, std::uint64_t footprint) {
+    const std::string spec = renamed_e870(k);
+    const std::string response = server.handle_line(query_line(
+        spec, "{\"kind\": \"chase-latency\", \"footprint_bytes\": " +
+                  std::to_string(footprint) + ", \"dscr\": 2}"));
+    ASSERT_TRUE(response_ok(response)) << response;
+    std::set<std::string> held = {sim::MachineSpec::from_json(spec).to_json()};
+    for (const std::string& key : server.cache().keys_mru_order())
+      held.insert(key.substr(0, key.rfind('\n')));
+    gauge.push_back(stat_of(server.handle_line("{\"verb\": \"stats\"}"),
+                            "serve.cache_machines"));
+    EXPECT_EQ(gauge.back(), held.size()) << "after machine " << k;
+    EXPECT_EQ(server.cache().machines(), held.size());
+  };
+  for (int k = 0; k < 6; ++k) query(k, 64 * 1024);
+  // Four more keys on the last machine evict the others' entries.
+  for (int f = 2; f <= 5; ++f) query(5, f * 64 * 1024);
+  EXPECT_EQ(gauge, (std::vector<std::uint64_t>{1, 2, 3, 4, 4, 4, 3, 2, 1, 1}));
+  const std::string stats = server.handle_line("{\"verb\": \"stats\"}");
+  EXPECT_EQ(stat_of(stats, "serve.machines_loaded"), 6u);
+  EXPECT_EQ(stat_of(stats, "serve.cache_evictions"), 6u);
+}
+
 // ---- server dispatch (no socket) ------------------------------------------
 
 TEST(ServeServerTest, AdminVerbsRoundTrip) {
@@ -615,8 +685,9 @@ TEST(ServeServerTest, AdminVerbsRoundTrip) {
   for (const char* name :
        {"serve.requests", "serve.queries", "serve.analytic", "serve.sim",
         "serve.cache_hits", "serve.cache_misses", "serve.cache_evictions",
-        "serve.errors", "serve.connections", "serve.machines_loaded",
-        "serve.machines_evicted", "serve.latency.le_100us",
+        "serve.cache_machines", "serve.errors", "serve.connections",
+        "serve.machines_loaded", "serve.machines_evicted",
+        "serve.latency.le_100us",
         "serve.latency.le_1ms", "serve.latency.le_10ms",
         "serve.latency.le_100ms", "serve.latency.le_1s",
         "serve.latency.gt_1s"})

@@ -250,6 +250,32 @@ TEST(ChaseChain, StreamMatchesNextArrayReference) {
   }
 }
 
+TEST(ChaseChain, StartSlotIsWhereLineZeroSits) {
+  // The chain keeps line 0's slot as it is built; a search must agree.
+  for (const ChasePattern pattern :
+       {ChasePattern::kRandom, ChasePattern::kForwardStride,
+        ChasePattern::kBackwardStride}) {
+    for (const std::uint64_t lines : {1, 2, 3, 17, 4097}) {
+      for (const std::uint64_t stride : {1, 3}) {
+        for (const std::uint64_t seed : {42u, 7u, 0x9e3779b9u}) {
+          ChaseOptions o;
+          o.pattern = pattern;
+          o.stride_lines = stride;
+          o.seed = seed;
+          const ChaseChain chain = chase_chain(lines, o);
+          ASSERT_EQ(chain.order.size(), lines);
+          EXPECT_EQ(chain.start,
+                    static_cast<std::uint64_t>(
+                        std::find(chain.order.begin(), chain.order.end(), 0u) -
+                        chain.order.begin()))
+              << "pattern " << static_cast<int>(pattern) << " lines "
+              << lines << " stride " << stride << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
 TEST(ChaseChain, RejectsChainsOverTwoToThe32Lines) {
   // One-byte lines make the working set's byte count its line count;
   // the check fires before the chain is allocated.

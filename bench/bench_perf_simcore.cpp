@@ -14,12 +14,11 @@
 //    an FNV-1a checksum over the sweep doubles so drift in the
 //    simulated numbers (as opposed to drift in wall-clock speed) is
 //    machine-checkable, and
-//  * wall-clock of a heterogeneous multi-preset task graph: every
-//    machine-registry preset submits a construction task feeding
-//    pointer-chase and stride-replay tasks feeding a per-preset
-//    checksum, all into ONE sim::TaskEngine graph, timed on a 1-worker
-//    and a 4-worker pool.  This is the workload the work-stealing
-//    engine exists for — five machines of wildly different cost
+//  * wall-clock of heterogeneous multi-preset sweeps: one SweepRunner
+//    run builds every machine-registry preset, a second runs each
+//    preset's pointer-chase and stride-replay points, and the calling
+//    thread folds per-preset checksums, timed on a 1-worker and a
+//    4-worker pool — five machines of wildly different cost
 //    overlapping instead of running strictly one after another, and
 //  * throughput of the closed-form analytic tier (predict_queries_per_s):
 //    chase-latency queries answered by sim::Predictor without touching
@@ -32,15 +31,19 @@
 //
 // Results are printed as a table and written as machine-readable JSON
 // (default BENCH_perf_simcore.json), with the host's CPU count and
-// model, so the perf trajectory is tracked across PRs;
-// scripts/tier1.sh diffs the checksum against the checked-in baseline.
-// --task-json dumps the heterogeneous graph's per-task timeline for
-// plotting (EXPERIMENTS.md).
+// model, so the perf trajectory is tracked across PRs.
+// --baseline=<file> gates the run against a checked-in baseline
+// (exit 1 on sweep_checksum drift, exit 3 on a >25% hot-path
+// throughput drop alone); scripts/tier1.sh runs it so.  --task-json
+// dumps the heterogeneous sweeps' per-task timeline for plotting
+// (EXPERIMENTS.md).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,7 +214,7 @@ double timed_sweep(const sim::Machine& machine,
   return s;
 }
 
-/// One run of the heterogeneous multi-preset graph.
+/// One run of the heterogeneous multi-preset sweeps.
 struct HeteroOutcome {
   double wall_s = 0.0;
   std::uint64_t checksum = 0;  ///< folded per-preset result checksums
@@ -220,90 +223,59 @@ struct HeteroOutcome {
   std::string timeline_json;
 };
 
-/// Builds and executes the heterogeneous graph: for every registry
-/// preset, a machine-construction task feeds four pointer-chase points
-/// and one stride replay, those feed a per-preset checksum task, and a
-/// final merge task folds the per-preset checksums in registry order
-/// (so the result is independent of execution order — the engine's
-/// determinism contract).  Task costs differ wildly across presets
-/// (the 192-core e880's victim scans against the 24-core e850c), which
-/// is exactly the imbalance work stealing exists to fill cores with.
-HeteroOutcome run_hetero_graph(std::size_t workers, std::uint64_t accesses) {
+/// Runs the heterogeneous multi-preset work as two sweeps: one builds
+/// every registry preset's machine, the next runs each preset's four
+/// pointer-chase points and one stride replay.  The calling thread
+/// then checksums each preset's results and folds the checksums in
+/// registry order, so the result is independent of execution order.
+/// Point costs differ wildly across presets (the 192-core e880's
+/// victim scans against the 24-core e850c), which is the imbalance the
+/// runner's claims fill cores with.
+HeteroOutcome run_hetero_sweeps(std::size_t workers, std::uint64_t accesses) {
   const std::vector<std::string> names = sim::machine_names();
-  struct Slot {
-    std::optional<sim::Machine> machine;
-    std::vector<double> lat;
-    double stride_ns = 0.0;
-    std::uint64_t checksum = 0;
-  };
-  std::vector<Slot> slots(names.size());
   const std::vector<std::uint64_t> working_sets = {
       common::kib(64), common::kib(512), common::mib(4), common::mib(32)};
+  const std::size_t per_preset = working_sets.size() + 1;  // + stride
 
-  HeteroOutcome out;
-  common::TaskGraph graph;
-  std::vector<common::TaskId> merges;
-  for (std::size_t m = 0; m < names.size(); ++m) {
-    const std::string& name = names[m];
-    slots[m].lat.assign(working_sets.size(), 0.0);
-    const common::TaskId build =
-        graph.add(name + ":build", [&slots, m, name] {
-          slots[m].machine.emplace(sim::machine_spec(name).machine());
-        });
-    std::vector<common::TaskId> points;
-    for (std::size_t k = 0; k < working_sets.size(); ++k) {
-      const std::uint64_t ws = working_sets[k];
-      points.push_back(graph.add(
-          name + ":chase#" + std::to_string(k),
-          [&slots, m, k, ws, accesses] {
-            ubench::ChaseOptions opt;
-            opt.working_set_bytes = ws;
-            opt.warm_accesses = accesses / 4;
-            opt.measure_accesses = accesses;
-            opt.seed = 42 + k;
-            slots[m].lat[k] =
-                ubench::chase_latency_ns(*slots[m].machine, opt);
-          },
-          {build}));
-    }
-    points.push_back(graph.add(
-        name + ":stride",
-        [&slots, m, accesses] {
+  sim::SweepRunner runner(workers);
+  bench::SweepTimeline timeline;
+  const auto machines =
+      timeline.run(runner, "hetero:build", names.size(), [&](std::size_t m) {
+        return std::optional<sim::Machine>(
+            sim::machine_spec(names[m]).machine());
+      });
+  const std::vector<double> values = timeline.run(
+      runner, "hetero:point", names.size() * per_preset, [&](std::size_t i) {
+        const sim::Machine& machine = *machines[i / per_preset];
+        const std::size_t k = i % per_preset;
+        if (k == working_sets.size()) {
           ubench::StrideOptions opt;
           opt.accesses = accesses / 2;
-          slots[m].stride_ns =
-              ubench::stride_latency_ns(*slots[m].machine, opt);
-        },
-        {build}));
-    merges.push_back(graph.add(
-        name + ":checksum",
-        [&slots, m] {
-          std::uint64_t h = 14695981039346656037ull;
-          for (const double v : slots[m].lat) h = fnv1a(&v, sizeof(v), h);
-          h = fnv1a(&slots[m].stride_ns, sizeof(slots[m].stride_ns), h);
-          slots[m].checksum = h;
-        },
-        points));
-  }
-  std::uint64_t folded = 14695981039346656037ull;
-  graph.add(
-      "merge",
-      [&slots, &folded] {
-        // Registry order, never completion order: bit-identical for
-        // any worker count.
-        for (const Slot& slot : slots)
-          folded = fnv1a(&slot.checksum, sizeof(slot.checksum), folded);
-      },
-      merges);
+          return ubench::stride_latency_ns(machine, opt);
+        }
+        ubench::ChaseOptions opt;
+        opt.working_set_bytes = working_sets[k];
+        opt.warm_accesses = accesses / 4;
+        opt.measure_accesses = accesses;
+        opt.seed = 42 + k;
+        return ubench::chase_latency_ns(machine, opt);
+      });
 
-  common::ThreadPool pool(workers);
-  common::TaskEngine engine(pool);
-  engine.run(graph);
-  out.wall_s = engine.wall_s();
-  out.checksum = folded;
-  out.tasks = graph.size();
-  out.steals = engine.steals();
-  out.timeline_json = engine.timeline_json("perf_simcore.hetero");
+  // Per preset: its chase latencies then its stride latency, in
+  // registry order — never completion order — so the checksum is
+  // bit-identical for any worker count.
+  HeteroOutcome out;
+  out.checksum = 14695981039346656037ull;
+  for (std::size_t m = 0; m < names.size(); ++m) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t k = 0; k < per_preset; ++k)
+      h = fnv1a(&values[m * per_preset + k], sizeof(double), h);
+    out.checksum = fnv1a(&h, sizeof(h), out.checksum);
+  }
+  out.wall_s = timeline.wall_s;
+  out.tasks = timeline.records.size();
+  out.steals = common::count_stolen(timeline.records);
+  out.timeline_json = timeline.json("perf_simcore.hetero", workers);
   return out;
 }
 
@@ -321,23 +293,40 @@ int main(int argc, char** argv) {
       args, "reps", 5, 1, 1000, "hot-path timing repetitions (best-of-N)");
   const auto hetero_opt = bench::bounded_int_arg(
       args, "hetero-accesses", 1 << 17, 1, std::int64_t{1} << 40,
-      "measured accesses per task of the heterogeneous preset graph");
+      "measured accesses per point of the heterogeneous preset sweeps");
   const std::string json_path = args.get_string(
       "json", "BENCH_perf_simcore.json", "machine-readable output file");
   const std::string task_json = bench::task_json_arg(args);
+  const std::string baseline_path = args.get_string(
+      "baseline", "",
+      "gate against this baseline JSON: exit 1 on sweep_checksum drift, "
+      "3 on a >25% hot-path throughput drop alone; \"\" = no gate");
   const bool no_audit = bench::no_audit_arg(args);
   const std::string machine_sel = bench::machine_arg(args);
   if (auto exit_code = bench::finish_args(args)) return *exit_code;
   if (!max_mb_opt || !accesses_opt || !reps_opt || !hetero_opt ||
       !threads_opt)
     return 2;
+  std::optional<common::Json> baseline;
+  if (!baseline_path.empty()) {
+    std::ifstream in(baseline_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    try {
+      baseline = common::Json::parse(text.str());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: cannot read --baseline=%s: %s\n",
+                   baseline_path.c_str(), e.what());
+      return 2;
+    }
+  }
   const auto max_mb = static_cast<std::uint64_t>(*max_mb_opt);
   const auto accesses = static_cast<std::uint64_t>(*accesses_opt);
   const int reps = static_cast<int>(*reps_opt);
   const auto hetero_accesses = static_cast<std::uint64_t>(*hetero_opt);
   const std::size_t threads = *threads_opt;
 
-  bench::print_header("Perf", "simulator hot-path and sweep-engine timing");
+  bench::print_header("Perf", "simulator hot-path and sweep timing");
 
   const auto machine_spec = bench::load_machine(machine_sel);
   if (!machine_spec) return 2;
@@ -380,11 +369,10 @@ int main(int argc, char** argv) {
         timed_sweep(machine, sizes, no_audit, widths[i], sequential,
                     identical);
 
-  // The heterogeneous multi-preset graph, serial (1 worker) vs a
-  // 4-worker stealing pool; the folded checksums must match bit for
-  // bit.
-  const HeteroOutcome hetero_serial = run_hetero_graph(1, hetero_accesses);
-  const HeteroOutcome hetero_par = run_hetero_graph(4, hetero_accesses);
+  // The heterogeneous multi-preset sweeps, serial (1 worker) vs a
+  // 4-worker pool; the folded checksums must match bit for bit.
+  const HeteroOutcome hetero_serial = run_hetero_sweeps(1, hetero_accesses);
+  const HeteroOutcome hetero_par = run_hetero_sweeps(4, hetero_accesses);
 
   // The analytic fast path, for the same machine the hot paths ran on.
   const predict::Predictor predictor(*machine_spec);
@@ -422,12 +410,12 @@ int main(int argc, char** argv) {
              common::fmt_num(width_speedup(0), 2) + "x / " +
                  common::fmt_num(width_speedup(1), 2) + "x / " +
                  common::fmt_num(width_speedup(2), 2) + "x"});
-  t.add_row({"hetero graph tasks", std::to_string(hetero_par.tasks)});
-  t.add_row({"hetero graph serial (s)",
+  t.add_row({"hetero sweep tasks", std::to_string(hetero_par.tasks)});
+  t.add_row({"hetero sweeps serial (s)",
              common::fmt_num(hetero_serial.wall_s, 2)});
-  t.add_row({"hetero graph 4 workers (s)",
+  t.add_row({"hetero sweeps 4 workers (s)",
              common::fmt_num(hetero_par.wall_s, 2)});
-  t.add_row({"hetero graph speedup",
+  t.add_row({"hetero sweeps speedup",
              common::fmt_num(hetero_speedup, 2) + "x (" +
                  std::to_string(hetero_par.steals) + " steals)"});
   t.add_row({"analytic predict, Mquery/s",
@@ -495,5 +483,20 @@ int main(int argc, char** argv) {
   } else {
     std::printf("WARNING: could not write %s\n", json_path.c_str());
   }
-  return all_identical ? 0 : 1;
+  if (!all_identical) return 1;
+  if (!baseline) return 0;
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(checksum));
+  try {
+    const int verdict = bench::perf_baseline_gate(
+        bench::PerfSample{hex, seq_macc, chase_macc}, *baseline);
+    if (verdict == 0)
+      std::printf("perf baseline: checksum and throughput OK\n");
+    return verdict;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: --baseline=%s: %s\n", baseline_path.c_str(),
+                 e.what());
+    return 2;
+  }
 }

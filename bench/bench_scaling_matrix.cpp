@@ -21,20 +21,21 @@
 //   noc.group-latency  remote memory costs more than local, and
 //                      inter-group more than intra-group.
 //
-// Every machine's work — construction, the four analysis passes, the
-// verdict pass — is submitted as ONE sim::TaskEngine graph, so a slow
-// preset (the 192-core e880) overlaps the cheap ones instead of
-// serializing behind them.  Analyses write disjoint MachineReport
-// fields and the verdict task runs the checks in the canonical serial
-// order, so the table, the JSON artifact and the stderr FAIL lines are
-// bit-identical at any worker count (--threads).  --task-json dumps
-// the graph's per-task timeline.
+// Every machine's work runs as two SweepRunner sweeps — one builds
+// every machine, the next runs all machines' four analysis passes —
+// so a slow preset (the 192-core e880) overlaps the cheap ones instead
+// of serializing behind them.  Analyses write disjoint MachineReport
+// fields and the calling thread then runs each machine's checks in the
+// canonical serial order, so the table, the JSON artifact and the
+// stderr FAIL lines are bit-identical at any worker count (--threads).
+// --task-json dumps both sweeps' per-task timeline.
 //
 // One JSON artifact (--json) captures every number behind the
 // verdicts.  Exit: 0 all invariants hold, 1 a violation, 2 bad
 // configuration/flags.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,8 +44,6 @@
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "common/taskgraph.hpp"
-#include "common/threading.hpp"
 #include "ubench/workloads.hpp"
 
 namespace {
@@ -69,8 +68,8 @@ struct MachineReport {
   std::vector<Verdict> verdicts;
 };
 
-// Appends a verdict; the FAIL lines print after the whole graph has
-// drained (main), in selector order, so stderr is deterministic at any
+// Appends a verdict; the FAIL lines print after both sweeps have
+// finished (main), in selector order, so stderr is deterministic at any
 // worker count.
 void check(MachineReport& r, const std::string& invariant, bool ok,
            const std::string& detail) {
@@ -78,11 +77,11 @@ void check(MachineReport& r, const std::string& invariant, bool ok,
 }
 
 // -------------------------------------------------------------------
-// The analysis passes.  Each one runs as its own task in the engine
-// graph and writes a disjoint slice of the MachineReport; the bodies
-// use only the sequential workload paths (the engine is not
-// re-entrant), which are bit-identical to the fanned ones by the sweep
-// tests' determinism contract.
+// The analysis passes.  Each one runs as its own sweep point and
+// writes a disjoint slice of the MachineReport; the bodies use only
+// the sequential workload paths (a sweep cannot nest on its own pool),
+// which are bit-identical to the fanned ones by the sweep tests'
+// determinism contract.
 // -------------------------------------------------------------------
 
 /// Fig. 2: latency at each hierarchy landmark (prefetch off).
@@ -131,7 +130,7 @@ void analyze_noc(MachineReport& r, const sim::Machine& machine,
   }
 }
 
-/// The verdict pass: depends on all four analyses and replays the
+/// The verdict pass: runs after all four analyses and replays the
 /// checks in the canonical order, so r.verdicts is identical to what
 /// the old serial interleaving produced.
 void run_verdicts(MachineReport& r, const arch::SystemSpec& s) {
@@ -270,12 +269,11 @@ int main(int argc, char** argv) {
   }
 
   // Load every spec and gate every audit serially up front — the
-  // exit-2 path and the audit diagnostics keep their order — then
-  // submit all machines into ONE task graph: per machine a
-  // construction task fans into the four analysis passes, which feed a
-  // verdict pass.  The engine schedules freely; the reports are
-  // slot-indexed and every merge below walks them in selector order,
-  // so the outputs are bit-identical at any --threads.
+  // exit-2 path and the audit diagnostics keep their order — then run
+  // two sweeps over all machines: one constructs them, the next runs
+  // their four analysis passes.  The reports are slot-indexed and the
+  // verdicts and every merge below walk them in selector order, so the
+  // outputs are bit-identical at any --threads.
   struct Job {
     std::string selector;
     sim::MachineSpec spec;
@@ -288,41 +286,37 @@ int main(int argc, char** argv) {
     if (!spec) return 2;
     if (!bench::gate_model(spec->machine(), no_audit)) return 2;
     jobs.push_back(Job{selector, *spec, std::nullopt, MachineReport{}});
+    jobs.back().report.selector = selector;
+    jobs.back().report.name = spec->system.name;
+    jobs.back().report.total_cores = spec->system.total_cores();
   }
 
-  common::TaskGraph graph;
-  for (Job& job : jobs) {
-    job.report.selector = job.selector;
-    job.report.name = job.spec.system.name;
-    job.report.total_cores = job.spec.system.total_cores();
-    const common::TaskId build = graph.add(
-        job.selector + ":build",
-        [&job] { job.machine.emplace(job.spec.machine()); });
-    const common::TaskId lat = graph.add(
-        job.selector + ":latency",
-        [&job] { analyze_latency(job.report, *job.machine); },
-        {build});
-    const common::TaskId bw = graph.add(
-        job.selector + ":bandwidth",
-        [&job] {
-          analyze_bandwidth(job.report, *job.machine, job.spec.system);
-        },
-        {build});
-    const common::TaskId mix = graph.add(
-        job.selector + ":mix",
-        [&job] { analyze_mix(job.report, *job.machine); }, {build});
-    const common::TaskId noc = graph.add(
-        job.selector + ":noc",
-        [&job] { analyze_noc(job.report, *job.machine, job.spec.system); },
-        {build});
-    graph.add(job.selector + ":verdicts",
-              [&job] { run_verdicts(job.report, job.spec.system); },
-              {lat, bw, mix, noc});
-  }
+  using Analysis = void (*)(Job&);
+  const Analysis analyses[] = {
+      [](Job& job) { analyze_latency(job.report, *job.machine); },
+      [](Job& job) {
+        analyze_bandwidth(job.report, *job.machine, job.spec.system);
+      },
+      [](Job& job) { analyze_mix(job.report, *job.machine); },
+      [](Job& job) {
+        analyze_noc(job.report, *job.machine, job.spec.system);
+      }};
+  const std::size_t passes = std::size(analyses);
 
-  common::ThreadPool pool(bench::pool_threads(threads));
-  common::TaskEngine engine(pool);
-  engine.run(graph);
+  sim::SweepRunner runner(threads);
+  bench::SweepTimeline timeline;
+  // The points write their results into `jobs`; the returned 0s are
+  // placeholders.
+  timeline.run(runner, "matrix:build", jobs.size(), [&](std::size_t j) {
+    jobs[j].machine.emplace(jobs[j].spec.machine());
+    return 0;
+  });
+  timeline.run(runner, "matrix:analysis", jobs.size() * passes,
+               [&](std::size_t i) {
+                 analyses[i % passes](jobs[i / passes]);
+                 return 0;
+               });
+  for (Job& job : jobs) run_verdicts(job.report, job.spec.system);
 
   std::vector<MachineReport> reports;
   for (Job& job : jobs) {
@@ -361,8 +355,8 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
 
-  if (!bench::write_task_timeline(engine.timeline_json("scaling_matrix"),
-                                  task_json))
+  if (!bench::write_task_timeline(
+          timeline.json("scaling_matrix", runner.threads()), task_json))
     return 1;
 
   std::printf(all_ok ? "scaling matrix: all structural invariants hold\n"

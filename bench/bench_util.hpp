@@ -9,12 +9,17 @@
 #include <cstdio>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
+#include "common/taskgraph.hpp"
 #include "common/table.hpp"
 #include "common/threading.hpp"
+#include "common/timer.hpp"
 #include "sim/audit.hpp"
 #include "sim/counters.hpp"
 #include "sim/machine/machine.hpp"
@@ -98,14 +103,14 @@ inline std::optional<std::int64_t> bounded_int_arg(common::ArgParser& args,
 }
 
 /// Declares the shared `--threads` flag: how many workers the bench's
-/// sweep pool / task engine uses, 0 (the default) meaning one per
+/// sweep pool uses, 0 (the default) meaning one per
 /// hardware thread.  Validated like every bounded_int_arg (and
 /// `--thread=` itself lands in finish_args' did-you-mean hint because
 /// the flag is declared here); 4096 is a sanity cap no real pool wants.
 inline std::optional<std::size_t> threads_arg(common::ArgParser& args) {
   const auto raw = bounded_int_arg(
       args, "threads", 0, 0, 4096,
-      "task-engine workers (0 = one per hardware thread)");
+      "sweep workers (0 = one per hardware thread)");
   if (!raw) return std::nullopt;
   return static_cast<std::size_t>(*raw);
 }
@@ -116,14 +121,43 @@ inline std::size_t pool_threads(std::size_t threads) {
   return threads != 0 ? threads : common::default_thread_count();
 }
 
-/// Declares the shared `--task-json` flag: where to dump the task
-/// engine's per-task timing timeline, "" (the default) meaning no
-/// artifact.
+/// Declares the shared `--task-json` flag: where to dump the sweeps'
+/// per-task timing timeline, "" (the default) meaning no artifact.
 inline std::string task_json_arg(common::ArgParser& args) {
   return args.get_string(
       "task-json", "",
-      "dump the task-engine timing timeline (JSON) here; \"\" = off");
+      "dump the sweeps' per-task timing timeline (JSON) here; \"\" = off");
 }
+
+/// Sweeps run one after another, their per-point records gathered
+/// into one timeline on one clock for the --task-json artifact.
+struct SweepTimeline {
+  std::vector<common::TaskRecord> records;
+  double wall_s = 0.0;  ///< when the last sweep finished
+  common::Timer clock;
+
+  /// runner.run(points, point) with its tasks labelled `label`; the
+  /// run's records are appended shifted onto `clock`.
+  template <typename Fn>
+  auto run(sim::SweepRunner& runner, const std::string& label,
+           std::size_t points, Fn&& point) {
+    const double start_s = clock.seconds();
+    runner.set_task_label(label);
+    auto out = runner.run(points, std::forward<Fn>(point));
+    for (common::TaskRecord rec : runner.last_timeline()) {
+      rec.start_s += start_s;
+      rec.end_s += start_s;
+      records.push_back(std::move(rec));
+    }
+    wall_s = clock.seconds();
+    return out;
+  }
+
+  /// The timeline as common::timeline_json renders it.
+  std::string json(const std::string& bench, std::size_t workers) const {
+    return common::timeline_json(bench, workers, records, wall_s);
+  }
+};
 
 /// Writes a pre-rendered task-timeline JSON document to `path`.  No-op
 /// returning true for an empty path, so benches call it
@@ -320,6 +354,50 @@ inline Verdict tolerance_verdict(const ToleranceCheck& c) {
       common::fmt_num(c.value, 3) + " vs " + common::fmt_num(c.reference, 3) +
           " (ratio " + common::fmt_num(tolerance_ratio(c), 3) + ", tol " +
           common::fmt_num(c.tol, 3) + "): " + status};
+}
+
+/// The numbers of a bench_perf_simcore run its baseline gate reads.
+struct PerfSample {
+  std::string sweep_checksum;  ///< 16 hex digits
+  double seq_scan_macc_per_s = 0.0;
+  double chase_macc_per_s = 0.0;
+};
+
+/// The perf-baseline gate: `fresh` against a baseline document
+/// (BENCH_perf_simcore.json).  The sweep checksum is a simulated
+/// result, so any drift is a hard failure: 1.  Throughput is wall-clock
+/// noisy, so a >25% drop of the scan or chase rate alone returns 3,
+/// "throughput only, retry me".  0 means pass.  Prints the reason for
+/// a non-zero verdict; throws std::invalid_argument when the baseline
+/// lacks a field.
+inline int perf_baseline_gate(const PerfSample& fresh,
+                              const common::Json& baseline) {
+  auto field = [&](const std::string& key) -> const common::Json& {
+    const common::Json* v = baseline.find(key);
+    if (v == nullptr)
+      throw std::invalid_argument("perf baseline has no \"" + key + "\"");
+    return *v;
+  };
+  const std::string& checksum =
+      field("sweep_checksum").as_string("sweep_checksum");
+  if (fresh.sweep_checksum != checksum) {
+    std::printf("FAIL: sweep checksum drifted: %s (baseline %s) — the "
+                "simulated latencies changed\n",
+                fresh.sweep_checksum.c_str(), checksum.c_str());
+    return 1;
+  }
+  const std::pair<std::string, double> rates[] = {
+      {"seq_scan_macc_per_s", fresh.seq_scan_macc_per_s},
+      {"chase_macc_per_s", fresh.chase_macc_per_s}};
+  int verdict = 0;
+  for (const auto& [key, value] : rates) {
+    const double base = field(key).as_number(key);
+    if (value >= 0.75 * base) continue;
+    std::printf("PERF: %s dropped >25%%: %.3f vs baseline %.3f\n",
+                key.c_str(), value, base);
+    verdict = 3;
+  }
+  return verdict;
 }
 
 /// A mid-plateau working-set size for one hierarchy level.

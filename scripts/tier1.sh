@@ -22,53 +22,31 @@ cmake --build build -j --target p8lint
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
-# Perf smoke: small Fig. 2 sweep + hot-path throughput + the
-# heterogeneous task-engine graph; fails if any parallel run is not
-# bit-identical to its sequential reference.  Dumps the task-engine
-# timeline (its schema is pinned by taskgraph_test's
-# TaskGraph.TimelineJsonMatchesSchema).
+# Perf smoke and baseline gate: small Fig. 2 sweep + hot-path
+# throughput + the heterogeneous multi-preset sweeps; fails if any
+# parallel run is not bit-identical to its sequential reference, and
+# dumps the sweeps' task timeline (its schema is pinned by sweep_test's
+# Sweep.TimelineJsonMatchesSchema).  --baseline gates the run against
+# the checked-in BENCH_perf_simcore.json: the simulated numbers (sweep
+# checksum) must match bit for bit — a correctness property and a hard
+# failure (exit 1).  Throughput is wall-clock noisy, so a >25% drop
+# against the baseline fails only when it is sustained: exit 3 means
+# "throughput only — retry me", and only a second independent failure
+# is fatal.
 perf_smoke() {
   ./build/bench/bench_perf_simcore --max-mb 16 --accesses $((1 << 20)) \
     --json build/BENCH_perf_simcore_smoke.json \
-    --task-json build/task_timeline_smoke.json
-}
-perf_smoke
-
-# Perf baseline: the simulated numbers (sweep checksum) must match the
-# checked-in BENCH_perf_simcore.json bit for bit — that is a
-# correctness property and a hard failure.  Throughput is wall-clock
-# noisy, so a >25% drop against the baseline fails only when it is
-# sustained: the first failing measurement triggers one re-run, and
-# only a second independent failure is fatal (exit 3 from the gate
-# means "throughput only — retry me").
-perf_gate() {
-  python3 - build/BENCH_perf_simcore_smoke.json BENCH_perf_simcore.json <<'EOF'
-import json, sys
-fresh = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-if fresh["sweep_checksum"] != base["sweep_checksum"]:
-    print("FAIL: sweep checksum drifted: %s (baseline %s) — "
-          "the simulated latencies changed"
-          % (fresh["sweep_checksum"], base["sweep_checksum"]))
-    sys.exit(1)
-slow = [key for key in ("seq_scan_macc_per_s", "chase_macc_per_s")
-        if fresh[key] < 0.75 * base[key]]
-for key in slow:
-    print("PERF: %s dropped >25%%: %.3f vs baseline %.3f"
-          % (key, fresh[key], base[key]))
-sys.exit(3 if slow else 0)
-EOF
+    --task-json build/task_timeline_smoke.json \
+    --baseline=BENCH_perf_simcore.json
 }
 gate_status=0
-perf_gate || gate_status=$?
+perf_smoke || gate_status=$?
 if [ "$gate_status" -eq 3 ]; then
   echo "perf gate: throughput drop — re-running once to rule out noise"
-  perf_smoke
-  perf_gate || { echo "FAIL: sustained >25% throughput drop"; exit 1; }
+  perf_smoke || { echo "FAIL: sustained >25% throughput drop"; exit 1; }
 elif [ "$gate_status" -ne 0 ]; then
   exit "$gate_status"
 fi
-echo "perf baseline: checksum and throughput OK"
 
 # Trace record/replay gate: a workload recorded to the binary trace
 # format and replayed out-of-core must match the in-memory run bit for

@@ -1,302 +1,27 @@
 #include "common/taskgraph.hpp"
 
-#include <chrono>
-#include <mutex>
-#include <thread>
-#include <utility>
-
-#include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace p8::common {
 
-// ---------------------------------------------------------------------------
-// TaskGraphCycleError
-
-namespace {
-
-std::string format_cycle(const std::vector<std::string>& cycle) {
-  std::string msg = "task graph contains a dependency cycle: ";
-  for (const std::string& name : cycle) msg += name + " -> ";
-  msg += cycle.empty() ? std::string("?") : cycle.front();
-  return msg;
+std::size_t count_stolen(const std::vector<TaskRecord>& records) {
+  std::size_t stolen = 0;
+  for (const TaskRecord& r : records) stolen += r.stolen ? 1 : 0;
+  return stolen;
 }
 
-}  // namespace
-
-TaskGraphCycleError::TaskGraphCycleError(std::vector<std::string> cycle)
-    : std::runtime_error(format_cycle(cycle)), cycle_(std::move(cycle)) {}
-
-// ---------------------------------------------------------------------------
-// TaskGraph
-
-TaskId TaskGraph::add(std::string name, std::function<void()> body) {
-  P8_REQUIRE(body != nullptr, "task body must be callable");
-  nodes_.push_back(Node{std::move(name), std::move(body), {}, 0});
-  return static_cast<TaskId>(nodes_.size() - 1);
-}
-
-TaskId TaskGraph::add(std::string name, std::function<void()> body,
-                      const std::vector<TaskId>& deps) {
-  const TaskId id = add(std::move(name), std::move(body));
-  for (const TaskId dep : deps) add_dependency(id, dep);
-  return id;
-}
-
-void TaskGraph::add_dependency(TaskId task, TaskId depends_on) {
-  P8_REQUIRE(task < nodes_.size(), "dependent task id out of range");
-  P8_REQUIRE(depends_on < nodes_.size(), "dependency task id out of range");
-  nodes_[depends_on].dependents.push_back(task);
-  ++nodes_[task].dependency_count;
-}
-
-// ---------------------------------------------------------------------------
-// StealDeque
-
-StealDeque::StealDeque(std::size_t capacity_hint) {
-  std::size_t cap = 2;
-  while (cap < capacity_hint) cap <<= 1;
-  ring_ = std::vector<std::atomic<std::uint32_t>>(cap);
-  mask_ = static_cast<std::int64_t>(cap) - 1;
-}
-
-void StealDeque::push(TaskId id) {
-  const std::int64_t b = bottom_.load();
-  ring_[b & mask_].store(id);
-  bottom_.store(b + 1);  // publishes the slot to thieves
-}
-
-bool StealDeque::pop(TaskId& out) {
-  const std::int64_t b = bottom_.load() - 1;
-  bottom_.store(b);
-  std::int64_t t = top_.load();
-  if (t > b) {  // empty: restore and bail
-    bottom_.store(b + 1);
-    return false;
-  }
-  out = ring_[b & mask_].load();
-  if (t == b) {
-    // Last element: the CAS decides the race against a thief reading
-    // the same slot from the top.
-    const bool won = top_.compare_exchange_strong(t, t + 1);
-    bottom_.store(b + 1);
-    return won;
-  }
-  return true;
-}
-
-bool StealDeque::steal(TaskId& out) {
-  std::int64_t t = top_.load();
-  const std::int64_t b = bottom_.load();
-  if (t >= b) return false;
-  out = ring_[t & mask_].load();
-  // A failed CAS means another thief (or the owner's last-element pop)
-  // claimed index t first; the caller simply retries elsewhere.
-  return top_.compare_exchange_strong(t, t + 1);
-}
-
-std::size_t StealDeque::approx_size() const {
-  // Advisory only (sizes a steal-half batch); a stale answer merely
-  // mis-sizes one batch, so these reads order nothing.
-  const std::int64_t t =
-      top_.load(std::memory_order_relaxed);  // p8lint: allow(conc-weak-atomic) advisory size; orders nothing
-  const std::int64_t b =
-      bottom_.load(std::memory_order_relaxed);  // p8lint: allow(conc-weak-atomic) advisory size; orders nothing
-  return b > t ? static_cast<std::size_t>(b - t) : 0;
-}
-
-// ---------------------------------------------------------------------------
-// TaskEngine
-
-struct TaskEngine::RunState {
-  TaskGraph* graph = nullptr;
-  std::size_t total = 0;
-  std::vector<std::atomic<std::uint32_t>> pending;
-  std::vector<std::atomic<bool>> cancelled;
-  std::vector<std::unique_ptr<StealDeque>> deques;
-  std::atomic<std::size_t> completed{0};
-  std::atomic<std::size_t> steal_count{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  Timer clock;
-};
-
-void TaskEngine::check_acyclic(const TaskGraph& graph) {
-  const std::size_t n = graph.nodes_.size();
-  std::vector<std::uint32_t> pending(n);
-  std::vector<TaskId> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    pending[i] = graph.nodes_[i].dependency_count;
-    if (pending[i] == 0) ready.push_back(static_cast<TaskId>(i));
-  }
-  std::size_t finished = 0;
-  while (!ready.empty()) {
-    const TaskId id = ready.back();
-    ready.pop_back();
-    ++finished;
-    for (const TaskId d : graph.nodes_[id].dependents)
-      if (--pending[d] == 0) ready.push_back(d);
-  }
-  if (finished == n) return;
-
-  // Kahn left the nodes of at least one cycle (plus anything reachable
-  // from it) with pending > 0.  Every such node has an uncompleted
-  // predecessor that is itself stuck, so walking predecessors from any
-  // stuck node must revisit a node — that revisit closes a cycle.
-  std::vector<TaskId> pred(n, 0);
-  std::vector<bool> has_pred(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pending[i] == 0) continue;
-    for (const TaskId d : graph.nodes_[i].dependents)
-      if (pending[d] > 0 && !has_pred[d]) {
-        pred[d] = static_cast<TaskId>(i);
-        has_pred[d] = true;
-      }
-  }
-  TaskId cur = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (pending[i] > 0 && has_pred[i]) cur = static_cast<TaskId>(i);
-  std::vector<TaskId> trail;
-  std::vector<std::int64_t> seen_at(n, -1);
-  while (seen_at[cur] < 0) {
-    seen_at[cur] = static_cast<std::int64_t>(trail.size());
-    trail.push_back(cur);
-    cur = pred[cur];
-  }
-  std::vector<std::string> names;
-  for (std::size_t i = trail.size(); i > static_cast<std::size_t>(seen_at[cur]);
-       --i)
-    names.push_back(graph.nodes_[trail[i - 1]].name);  // edge order
-  throw TaskGraphCycleError(std::move(names));
-}
-
-void TaskEngine::run(TaskGraph& graph) {
-  check_acyclic(graph);
-  const std::size_t n = graph.nodes_.size();
-  records_.assign(n, TaskRecord{});
-  for (std::size_t i = 0; i < n; ++i) records_[i].name = graph.nodes_[i].name;
-  steals_ = 0;
-  wall_s_ = 0.0;
-  if (n == 0) return;
-
-  const std::size_t workers = pool_->size();
-  RunState state;
-  state.graph = &graph;
-  state.total = n;
-  state.pending = std::vector<std::atomic<std::uint32_t>>(n);
-  state.cancelled = std::vector<std::atomic<bool>>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    state.pending[i].store(graph.nodes_[i].dependency_count);
-    state.cancelled[i].store(false);
-  }
-  state.deques.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    state.deques.push_back(std::make_unique<StealDeque>(n));
-
-  // Seed the initially-ready tasks round-robin so every worker starts
-  // with local work instead of stampeding one deque.  (Single-threaded
-  // here, before the workers exist, so the owner-only rule holds.)
-  std::size_t next_worker = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (graph.nodes_[i].dependency_count != 0) continue;
-    state.deques[next_worker]->push(static_cast<TaskId>(i));
-    next_worker = (next_worker + 1) % workers;
-  }
-
-  state.clock.restart();
-  pool_->run_on_all([&](std::size_t w) { worker_loop(state, w); });
-  wall_s_ = state.clock.seconds();
-  steals_ = state.steal_count.load();
-  if (state.first_error) std::rethrow_exception(state.first_error);
-}
-
-void TaskEngine::worker_loop(RunState& state, std::size_t w) {
-  StealDeque& own = *state.deques[w];
-  const std::size_t workers = state.deques.size();
-  std::size_t idle_rounds = 0;
-  while (state.completed.load() < state.total) {
-    TaskId id = 0;
-    if (own.pop(id)) {
-      idle_rounds = 0;
-      execute(state, w, id, /*stolen=*/false);
-      continue;
-    }
-    bool found = false;
-    for (std::size_t k = 1; k < workers && !found; ++k) {
-      StealDeque& victim = *state.deques[(w + k) % workers];
-      if (!victim.steal(id)) continue;
-      found = true;
-      state.steal_count.fetch_add(
-          1, std::memory_order_relaxed);  // p8lint: allow(conc-weak-atomic) statistic; read after join only
-      // Steal-half: after grabbing one task to run, migrate half of
-      // what the victim still holds into our own deque, so a loaded
-      // victim is unloaded in O(log) steal rounds instead of one task
-      // per round trip.
-      std::size_t extra = victim.approx_size() / 2;
-      TaskId moved = 0;
-      while (extra-- > 0 && victim.steal(moved)) {
-        state.steal_count.fetch_add(
-            1, std::memory_order_relaxed);  // p8lint: allow(conc-weak-atomic) statistic; read after join only
-        records_[moved].stolen = true;
-        own.push(moved);
-      }
-      execute(state, w, id, /*stolen=*/true);
-    }
-    if (found) {
-      idle_rounds = 0;
-      continue;
-    }
-    // Nothing anywhere: back off.  Yield first (another worker may be
-    // about to publish dependents); fall to a short sleep so idle
-    // workers do not starve the working ones on narrow machines.
-    ++idle_rounds;
-    if (idle_rounds < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-}
-
-void TaskEngine::execute(RunState& state, std::size_t w, TaskId id,
-                         bool stolen) {
-  TaskGraph::Node& node = state.graph->nodes_[id];
-  TaskRecord& rec = records_[id];
-  rec.worker = w;
-  if (stolen) rec.stolen = true;
-  rec.start_s = state.clock.seconds();
-  bool failed = state.cancelled[id].load();
-  rec.cancelled = failed;
-  if (!failed) {
-    try {
-      node.body();
-    } catch (...) {
-      failed = true;
-      const std::lock_guard<std::mutex> lock(state.error_mutex);
-      if (!state.first_error) state.first_error = std::current_exception();
-    }
-  }
-  rec.end_s = state.clock.seconds();
-  StealDeque& own = *state.deques[w];
-  for (const TaskId d : node.dependents) {
-    // The cancellation mark must precede our decrement: the seq_cst
-    // decrement then guarantees whoever takes the counter to zero —
-    // and whoever eventually executes the task — sees the mark.
-    if (failed) state.cancelled[d].store(true);
-    if (state.pending[d].fetch_sub(1) == 1) own.push(d);
-  }
-  state.completed.fetch_add(1);
-}
-
-std::string TaskEngine::timeline_json(const std::string& bench) const {
+std::string timeline_json(const std::string& bench, std::size_t workers,
+                          const std::vector<TaskRecord>& records,
+                          double wall_s) {
   std::string out = "{\n";
   out += "  \"bench\": " + json_quote(bench) + ",\n";
-  out += "  \"workers\": " + std::to_string(workers()) + ",\n";
-  out += "  \"tasks\": " + std::to_string(records_.size()) + ",\n";
-  out += "  \"steals\": " + std::to_string(steals_) + ",\n";
-  out += "  \"wall_s\": " + json_number(wall_s_) + ",\n";
+  out += "  \"workers\": " + std::to_string(workers) + ",\n";
+  out += "  \"tasks\": " + std::to_string(records.size()) + ",\n";
+  out += "  \"steals\": " + std::to_string(count_stolen(records)) + ",\n";
+  out += "  \"wall_s\": " + json_number(wall_s) + ",\n";
   out += "  \"timeline\": [";
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const TaskRecord& r = records_[i];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const TaskRecord& r = records[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": " + json_quote(r.name) +
            ", \"worker\": " + std::to_string(r.worker) +
@@ -305,7 +30,7 @@ std::string TaskEngine::timeline_json(const std::string& bench) const {
            ", \"stolen\": " + (r.stolen ? "true" : "false") +
            ", \"cancelled\": " + (r.cancelled ? "true" : "false") + "}";
   }
-  out += records_.empty() ? "]\n" : "\n  ]\n";
+  out += records.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
   return out;
 }

@@ -1,194 +1,39 @@
-// Dependency-scheduled task-graph execution engine.
+// Per-task timing records of a parallel sweep, and their JSON artifact.
 //
-// The barrier-style parallel_for in ThreadPool is the wrong shape for
-// heterogeneous sweeps: a Fig. 2 scan, a stride grid and five machine
-// presets are independent work of wildly different cost, and a barrier
-// between them serializes whole phases behind each phase's slowest
-// point.  TaskEngine instead executes an explicit graph — nodes are
-// units of work (sweep points, workload replays, per-preset matrix
-// cells), edges are data dependencies ("machine constructed before its
-// sweeps", "all points done before the checksum merge") — with a
-// SWIFT-style work-stealing scheduler: each worker owns a Chase-Lev
-// deque (owner pushes/pops the bottom, thieves steal from the top),
-// a thief that finds a loaded victim steals half of its queue, and
-// completing a task decrements its dependents' counters, pushing any
-// that reach zero onto the completing worker's deque.
-//
-// Determinism contract: the engine promises nothing about execution
-// *order* beyond the dependency edges — determinism of results is the
-// caller's job, achieved the same way SweepRunner always has: every
-// task writes only its own result slot (or state reachable only
-// through its outgoing edges), and merges happen in submission order
-// inside explicit merge tasks.  Under that discipline the output is
-// bit-identical for any worker count, including 1.
-//
-// Observability: every run records one TaskRecord per task (name,
-// executing worker, start/end on the engine's clock, whether the task
-// migrated via a steal) plus the total steal count; timeline_json()
-// renders the records as a JSON artifact for plotting, à la SWIFT's
-// tools/task_plots.
+// SweepRunner (sim/machine/sweep.hpp) records one TaskRecord per sweep
+// point: its name, the worker that ran it, its start/end on the run's
+// clock, whether it ran off its owner's share, and whether it was
+// skipped because an earlier point threw.  timeline_json() renders
+// records as the document the benches' --task-json flag writes, for
+// plotting Gantt-style (EXPERIMENTS.md).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <stdexcept>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "common/threading.hpp"
-#include "common/timer.hpp"
-
 namespace p8::common {
 
-using TaskId = std::uint32_t;
-
-/// What the engine remembers about one executed task.
+/// What a sweep remembers about one of its points.
 struct TaskRecord {
   std::string name;
-  std::size_t worker = 0;   ///< worker that ran (or skipped) the task
+  std::size_t worker = 0;   ///< worker that ran (or skipped) the point
   double start_s = 0.0;     ///< seconds since the run started
   double end_s = 0.0;
-  bool stolen = false;      ///< migrated off its enqueuing worker's deque
-  bool cancelled = false;   ///< skipped because a dependency failed
+  bool stolen = false;      ///< ran off its owner worker's share
+  bool cancelled = false;   ///< skipped because an earlier point threw
 };
 
-/// run() refuses a cyclic graph with this error; cycle() names the
-/// tasks on one offending cycle, in edge order, so the caller can see
-/// *which* dependency closed the loop instead of guessing from a
-/// generic "graph has a cycle".
-class TaskGraphCycleError : public std::runtime_error {
- public:
-  explicit TaskGraphCycleError(std::vector<std::string> cycle);
-  const std::vector<std::string>& cycle() const { return cycle_; }
+/// How many of `records` ran off their owner's share.
+std::size_t count_stolen(const std::vector<TaskRecord>& records);
 
- private:
-  std::vector<std::string> cycle_;
-};
-
-/// An explicit dependency graph of named tasks.  Build it up front
-/// (add() + add_dependency()), then hand it to TaskEngine::run().
-/// Bodies run at most once per run(); a graph can be run repeatedly.
-class TaskGraph {
- public:
-  /// Adds a task with no dependencies; returns its id.
-  TaskId add(std::string name, std::function<void()> body);
-
-  /// Adds a task depending on every id in `deps`.
-  TaskId add(std::string name, std::function<void()> body,
-             const std::vector<TaskId>& deps);
-
-  /// Declares that `task` must not start before `depends_on` finished.
-  /// Duplicate edges are allowed (each one counts); ids must exist.
-  void add_dependency(TaskId task, TaskId depends_on);
-
-  std::size_t size() const { return nodes_.size(); }
-  const std::string& name(TaskId id) const { return nodes_.at(id).name; }
-
- private:
-  friend class TaskEngine;
-
-  struct Node {
-    std::string name;
-    std::function<void()> body;
-    std::vector<TaskId> dependents;  ///< edges out: who waits on us
-    std::uint32_t dependency_count = 0;
-  };
-
-  std::vector<Node> nodes_;
-};
-
-/// Chase-Lev work-stealing deque of task ids: the owner pushes and
-/// pops at the bottom (LIFO, cache-warm), thieves steal from the top.
-/// Fixed capacity — the engine sizes every deque to the whole graph,
-/// so the ring can never overwrite a live slot and the grow path of
-/// the textbook structure is unnecessary.  All index operations are
-/// seq_cst: tasks here are simulation sweeps costing milliseconds, so
-/// the fence cost is irrelevant and the stronger ordering keeps the
-/// owner-pop vs. thief-steal race on the last element easy to reason
-/// about (and free of the standalone fences ThreadSanitizer cannot
-/// model).
-class StealDeque {
- public:
-  /// `capacity_hint` is rounded up to a power of two.
-  explicit StealDeque(std::size_t capacity_hint);
-
-  /// Owner only.  Precondition: fewer than capacity items in flight.
-  void push(TaskId id);
-
-  /// Owner only; takes the most recently pushed item.
-  bool pop(TaskId& out);
-
-  /// Any thread; takes the oldest item.  Returns false when empty or
-  /// when it lost the race for the last element.
-  bool steal(TaskId& out);
-
-  /// Racy size estimate (never negative); used to pick steal amounts.
-  std::size_t approx_size() const;
-
- private:
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::vector<std::atomic<std::uint32_t>> ring_;
-  std::int64_t mask_;
-};
-
-/// Executes TaskGraphs on a borrowed ThreadPool (the pool must outlive
-/// the engine; the calling thread participates as worker 0, so a
-/// 1-worker pool runs the graph inline and deterministically).
-class TaskEngine {
- public:
-  explicit TaskEngine(ThreadPool& pool) : pool_(&pool) {}
-
-  std::size_t workers() const { return pool_->size(); }
-
-  /// Validates the graph (throws TaskGraphCycleError on a cycle before
-  /// any body runs), executes every task respecting the dependency
-  /// edges, and waits for completion.  If a body throws, the first
-  /// exception is rethrown here after the graph drains; tasks
-  /// reachable from the failed one are cancelled (their bodies never
-  /// run) rather than executed against missing inputs.  Not
-  /// re-entrant: one run() per engine at a time.
-  void run(TaskGraph& graph);
-
-  /// Per-task records of the last run(), in task-id (submission) order.
-  const std::vector<TaskRecord>& timeline() const { return records_; }
-
-  /// Successful steal operations during the last run().
-  std::size_t steals() const { return steals_; }
-
-  /// Wall-clock of the last run() in seconds.
-  double wall_s() const { return wall_s_; }
-
-  /// The last run's records as a deterministic-layout JSON document:
-  ///   {"bench": ..., "workers": W, "tasks": N, "steals": S,
-  ///    "wall_s": ..., "timeline": [{"name", "worker", "start_s",
-  ///    "end_s", "stolen", "cancelled"}, ...]}
-  /// This is the artifact EXPERIMENTS.md plots Gantt-style.
-  std::string timeline_json(const std::string& bench) const;
-
- private:
-  struct RunState;
-
-  void worker_loop(RunState& state, std::size_t w);
-  void execute(RunState& state, std::size_t w, TaskId id, bool stolen);
-  static void check_acyclic(const TaskGraph& graph);
-
-  ThreadPool* pool_;
-  std::vector<TaskRecord> records_;
-  std::size_t steals_ = 0;
-  double wall_s_ = 0.0;
-};
+/// The records as a deterministic-layout JSON document, `steals` their
+/// count_stolen():
+///   {"bench": ..., "workers": W, "tasks": N, "steals": S,
+///    "wall_s": ..., "timeline": [{"name", "worker", "start_s",
+///    "end_s", "stolen", "cancelled"}, ...]}
+std::string timeline_json(const std::string& bench, std::size_t workers,
+                          const std::vector<TaskRecord>& records,
+                          double wall_s);
 
 }  // namespace p8::common
-
-namespace p8::sim {
-// The simulator-facing names (SweepRunner ports its sweeps onto the
-// engine; the multi-config benches build graphs directly).
-using common::TaskEngine;
-using common::TaskGraph;
-using common::TaskGraphCycleError;
-using common::TaskId;
-using common::TaskRecord;
-}  // namespace p8::sim

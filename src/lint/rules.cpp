@@ -167,9 +167,9 @@ void rule_det_unordered_iter(const FileContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency rules.  The TaskEngine's documented contract
-// (docs/PERF.md): synchronizing atomics are seq_cst so TSan models
-// them; anything weaker must justify itself in an annotation.
+// Concurrency rules.  The repo's documented contract (docs/PERF.md,
+// "Sweep scheduling"): synchronizing atomics are seq_cst so TSan
+// models them; anything weaker must justify itself in an annotation.
 
 void rule_conc_weak_atomic(const FileContext& ctx, std::vector<Finding>& out) {
   static const std::set<std::string> kWeak = {
@@ -188,8 +188,9 @@ void rule_conc_weak_atomic(const FileContext& ctx, std::vector<Finding>& out) {
     add(out, ctx, k, "conc-weak-atomic",
         "`" + id +
             "` is weaker than the documented all-seq_cst contract "
-            "(docs/PERF.md, task engine) — promote to seq_cst or carry a "
-            "`// p8lint: allow(conc-weak-atomic) <why>` justification");
+            "(docs/PERF.md, sweep scheduling) — promote to seq_cst or "
+            "carry a `// p8lint: allow(conc-weak-atomic) <why>` "
+            "justification");
   }
 }
 
@@ -209,7 +210,7 @@ void rule_conc_detach(const FileContext& ctx, std::vector<Finding>& out) {
     if (k + 1 >= ctx.code.size() || !is_punct(ctx, k + 1, '(')) continue;
     add(out, ctx, k, "conc-detach",
         "`.detach()` leaks a thread past its owner's lifetime — every "
-        "thread in this repo joins through ThreadPool / TaskEngine so "
+        "thread in this repo is joined, by ThreadPool or its owner, so "
         "shutdown and error paths stay deterministic");
   }
 }

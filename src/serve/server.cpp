@@ -65,7 +65,7 @@ void validate_queries(const Request& request, const sim::MachineSpec& spec) {
 }  // namespace
 
 /// All per-machine answering state: the two-tier router plus the
-/// task-graph dispatcher for batched fallbacks, both on the server's
+/// SweepRunner that fans out batched fallbacks, both on the server's
 /// shared pool.  Keyed (and LRU-evicted) by the machine's canonical
 /// JSON, held as the result cache's interned copy so every cache
 /// lookup for this machine passes the handle, not the bytes;
@@ -240,11 +240,11 @@ std::string Server::handle_query(const Request& request) {
     wires[sim_idx[0]] = AnswerWire{outcome.value, false, outcome.cached};
     if (!outcome.cached) ++simulated;
   } else if (!sim_idx.empty()) {
-    // Batched fallbacks become one flat task graph on the shared
-    // pool.  The dispatch mutex serializes graph launches (the
-    // fork-join engine runs one region at a time); cache waits inside
-    // a task only ever block on a computation already running
-    // elsewhere, so the graph cannot deadlock on itself.
+    // Batched fallbacks become one SweepRunner sweep on the shared
+    // pool.  The dispatch mutex serializes sweep launches (the
+    // fork-join pool runs one region at a time); cache waits inside
+    // a point only ever block on a computation already running
+    // elsewhere, so the sweep cannot deadlock on itself.
     std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
     const std::vector<ResultCache::Outcome> outcomes = state->dispatch.run(
         sim_idx.size(),

@@ -6,8 +6,8 @@
 //   request line ──parse──▶ resolve machine ──validate──▶ route ──▶
 //        analytic-servable   → answered inline, O(1), no cache
 //        simulation-required → content-addressed ResultCache
-//             miss  → event-driven simulator (batches fan across a
-//                     shared SweepRunner task graph)
+//             miss  → event-driven simulator (batches fan across
+//                     one SweepRunner sweep on the shared pool)
 //             hit   → memoized value, byte-identical to the miss
 //
 // Warm machines are an LRU-bounded set of QueryRouters, one per
@@ -152,8 +152,8 @@ class Server {
   /// Front = most recently used.
   std::list<std::shared_ptr<MachineState>> machines_;
 
-  /// Serializes task-graph dispatches on the shared pool (the graph
-  /// engine runs one fork-join region at a time).
+  /// Serializes sweep dispatches on the shared pool (the pool runs
+  /// one fork-join region at a time).
   std::mutex dispatch_mutex_;
 
   std::mutex counters_mutex_;

@@ -1,6 +1,11 @@
 #include "sim/machine/sweep.hpp"
 
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
+
+#include "common/timer.hpp"
 
 namespace p8::sim {
 
@@ -23,19 +28,46 @@ void SweepRunner::check_audit() const {
       audit_failure_);
 }
 
-void SweepRunner::run_graph(common::TaskGraph& graph) {
-  common::TaskEngine engine(*pool_);
-  try {
-    engine.run(graph);
-  } catch (...) {
-    // Keep the partial timeline visible (cancelled tasks and all),
-    // then let the first task exception reach the caller as before.
-    last_timeline_ = engine.timeline();
-    last_steals_ = engine.steals();
-    throw;
-  }
-  last_timeline_ = engine.timeline();
-  last_steals_ = engine.steals();
+void SweepRunner::schedule(std::size_t points,
+                           void (*fn)(void*, std::size_t), void* ctx) {
+  last_timeline_.assign(points, common::TaskRecord{});
+  for (std::size_t i = 0; i < points; ++i)
+    last_timeline_[i].name = task_label_ + "#" + std::to_string(i);
+  const std::size_t workers = pool_->size();
+  std::vector<std::atomic<bool>> claimed(points);
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const common::Timer clock;
+
+  // Runs point i on worker w unless another worker claimed it first.
+  // Each record is written only by the worker whose claim won.
+  auto claim = [&](std::size_t w, std::size_t i) {
+    if (claimed[i].load() || claimed[i].exchange(true)) return;
+    common::TaskRecord& rec = last_timeline_[i];
+    rec.worker = w;
+    rec.start_s = clock.seconds();
+    rec.cancelled = failed.load();
+    if (!rec.cancelled) {
+      rec.stolen = i % workers != w;
+      try {
+        fn(ctx, i);
+      } catch (...) {
+        failed.store(true);
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    rec.end_s = clock.seconds();
+  };
+  pool_->run_on_all([&](std::size_t w) {
+    // The own share w, w + W, ... from its last index down, then the
+    // remaining points, largest index first.
+    for (std::size_t k = (points + workers - 1 - w) / workers; k-- > 0;)
+      claim(w, w + k * workers);
+    for (std::size_t i = points; i-- > 0;) claim(w, i);
+  });
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace p8::sim

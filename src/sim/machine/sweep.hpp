@@ -1,16 +1,15 @@
-// Deterministic parallel sweep engine.
+// Deterministic parallel sweep runner.
 //
 // Every figure/table bench replays millions of simulated accesses per
 // sweep point (working-set sizes for Fig. 2, DSCR depths for Fig. 6,
 // strides for Fig. 7, block sizes for Fig. 8).  The points are
 // independent — each builds its own LatencyProbe / RNG from its index
-// — so the sweep is embarrassingly parallel.  SweepRunner submits the
-// points as one flat task graph to common::TaskEngine (work-stealing
-// deques over a common::ThreadPool) and returns results in submission
-// order, making the parallel sweep bit-identical to the sequential
-// loop regardless of thread count or OS scheduling.  Benches that
-// overlap heterogeneous work (several machines, several workloads)
-// build richer graphs on the same engine directly — see
+// — so the sweep is embarrassingly parallel.  SweepRunner hands the
+// points out over a common::ThreadPool itself (the owner-first claim
+// on run() below) and returns results in submission order, making the
+// parallel sweep bit-identical to the sequential loop regardless of
+// thread count or OS scheduling.  Benches with dependent phases (build
+// the machines, then measure them) run one sweep per phase — see
 // bench_scaling_matrix and docs/PERF.md.
 //
 // The contract the caller must honour for that guarantee: the point
@@ -61,34 +60,46 @@ class SweepRunner {
   /// label shows up in the timing timeline as "<label>#<index>").
   void set_task_label(std::string label) { task_label_ = std::move(label); }
 
-  /// Per-task timing records of the most recent run (task name,
+  /// Per-point timing records of the most recent run (task name,
   /// executing worker, start/end, steal flag) — the raw material for
   /// the task-timeline JSON artifact (docs/PERF.md).
   const std::vector<common::TaskRecord>& last_timeline() const {
     return last_timeline_;
   }
 
-  /// Successful steals during the most recent run.
-  std::size_t last_steals() const { return last_steals_; }
+  /// Points of the most recent run that ran off their owner's share.
+  std::size_t last_steals() const {
+    return common::count_stolen(last_timeline_);
+  }
 
   /// Evaluates `point(i)` for every i in [0, points) across the pool
-  /// and returns the results in submission order.  The points become
-  /// one flat task graph on the work-stealing engine (they are few and
-  /// heavy, and their costs vary wildly across a sweep — stealing
-  /// keeps the tail short without a shared counter hot spot).
+  /// and returns the results in submission order.  Owner-first claim:
+  /// point i belongs to worker i % W, each worker runs its own share
+  /// from its last index down, then claims whatever is left, largest
+  /// index first.  A sweep that lists its points cheapest first thus
+  /// starts the heaviest first, on distinct workers, and a point
+  /// mostly runs on the same thread from one run to the next.  After a
+  /// point throws no further point starts (the rest are recorded
+  /// cancelled); the first exception is rethrown here once the started
+  /// points finish.
   template <typename Fn>
   auto run(std::size_t points, Fn&& point)
       -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
     using Result = std::invoke_result_t<Fn&, std::size_t>;
     P8_STATIC_REQUIRE(std::is_default_constructible_v<Result>,
                       "sweep results must be default-constructible");
+    // Workers write distinct slots concurrently; std::vector<bool>
+    // packs neighbouring slots into one shared word.
+    P8_STATIC_REQUIRE((!std::is_same_v<Result, bool>),
+                      "sweep results must not be bool (vector<bool> slots "
+                      "share words across workers)");
     check_audit();
     std::vector<Result> out(points);
-    common::TaskGraph graph;
-    for (std::size_t i = 0; i < points; ++i)
-      graph.add(task_label_ + "#" + std::to_string(i),
-                [&out, &point, i] { out[i] = point(i); });
-    run_graph(graph);
+    auto body = [&out, &point](std::size_t i) { out[i] = point(i); };
+    using Body = decltype(body);
+    schedule(points,
+             [](void* ctx, std::size_t i) { (*static_cast<Body*>(ctx))(i); },
+             &body);
     return out;
   }
 
@@ -129,8 +140,10 @@ class SweepRunner {
   /// entry point.
   void check_audit() const;
 
-  /// Executes `graph` on the pool and stashes its timeline.
-  void run_graph(common::TaskGraph& graph);
+  /// Runs `fn(ctx, i)` for every i in [0, points) under the
+  /// owner-first claim and records the timeline.
+  void schedule(std::size_t points, void (*fn)(void*, std::size_t),
+                void* ctx);
 
   std::unique_ptr<common::ThreadPool> owned_;
   common::ThreadPool* pool_;
@@ -138,7 +151,6 @@ class SweepRunner {
   std::string audit_failure_;
   std::string task_label_ = "sweep";
   std::vector<common::TaskRecord> last_timeline_;
-  std::size_t last_steals_ = 0;
 };
 
 }  // namespace p8::sim

@@ -1,8 +1,9 @@
 // Tests for the shared bench helpers (bench/bench_util.hpp): counter
 // dumps — including CSV/JSON escaping of hostile counter names — the
 // --machine / unknown-option plumbing every bench main() uses, the
-// --threads / --task-json task-engine flags, and the tolerance-table
-// gate machinery shared by bench_scaling_matrix and bench_predict.
+// --threads / --task-json sweep flags and the multi-sweep timeline,
+// the tolerance-table gate machinery shared by bench_scaling_matrix and
+// bench_predict, and bench_perf_simcore's perf-baseline gate.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -162,6 +163,69 @@ TEST(TaskTimeline, WritesTheBodyVerbatim) {
 TEST(TaskTimeline, UnwritablePathFailsLoudly) {
   EXPECT_FALSE(
       bench::write_task_timeline("{}", "no/such/dir/timeline.json"));
+}
+
+TEST(SweepTimeline, GathersSweepsInOrderOnOneClock) {
+  sim::SweepRunner runner(2);
+  bench::SweepTimeline timeline;
+  EXPECT_EQ(timeline.run(runner, "a", 2, [](std::size_t i) { return i; }),
+            (std::vector<std::size_t>{0, 1}));
+  const double first_wall = timeline.wall_s;
+  timeline.run(runner, "b", 3, [](std::size_t i) { return i * 2; });
+  ASSERT_EQ(timeline.records.size(), 5u);
+  EXPECT_EQ(timeline.records[0].name, "a#0");
+  EXPECT_EQ(timeline.records[2].name, "b#0");
+  EXPECT_EQ(timeline.records[4].name, "b#2");
+  // The second sweep's spans sit after the first sweep ended.
+  for (std::size_t i = 2; i < 5; ++i)
+    EXPECT_GE(timeline.records[i].start_s, first_wall);
+  EXPECT_GE(timeline.wall_s, timeline.records[4].end_s);
+  const common::Json doc =
+      common::Json::parse(timeline.json("unit", runner.threads()));
+  EXPECT_EQ(doc.find("tasks")->as_number("tasks"), 5.0);
+  EXPECT_EQ(doc.find("wall_s")->as_number("wall_s"), timeline.wall_s);
+}
+
+const common::Json kPerfBaseline = common::Json::parse(
+    R"({"seq_scan_macc_per_s": 4.0, "chase_macc_per_s": 2.0,
+        "sweep_checksum": "39239abb98bc71b3"})");
+
+TEST(PerfBaselineGate, PassesOnMatchingChecksumAndRates) {
+  EXPECT_EQ(bench::perf_baseline_gate({"39239abb98bc71b3", 4.0, 2.0},
+                                      kPerfBaseline),
+            0);
+  // Exactly 75% of the baseline still passes; the bound is a strict drop.
+  EXPECT_EQ(bench::perf_baseline_gate({"39239abb98bc71b3", 3.0, 1.5},
+                                      kPerfBaseline),
+            0);
+}
+
+TEST(PerfBaselineGate, ChecksumDriftIsAHardFailure) {
+  // Drift exits 1 even when throughput also dropped: the simulated
+  // numbers changed, so a re-run cannot help.
+  EXPECT_EQ(bench::perf_baseline_gate({"39239abb98bc71b4", 4.0, 2.0},
+                                      kPerfBaseline),
+            1);
+  EXPECT_EQ(bench::perf_baseline_gate({"0000000000000000", 0.1, 0.1},
+                                      kPerfBaseline),
+            1);
+}
+
+TEST(PerfBaselineGate, ThroughputDropAloneAsksForARetry) {
+  EXPECT_EQ(bench::perf_baseline_gate({"39239abb98bc71b3", 2.99, 2.0},
+                                      kPerfBaseline),
+            3);
+  EXPECT_EQ(bench::perf_baseline_gate({"39239abb98bc71b3", 4.0, 1.49},
+                                      kPerfBaseline),
+            3);
+}
+
+TEST(PerfBaselineGate, MissingFieldIsRejected) {
+  const common::Json no_chase = common::Json::parse(
+      R"({"seq_scan_macc_per_s": 4.0, "sweep_checksum": "39239abb98bc71b3"})");
+  EXPECT_THROW(bench::perf_baseline_gate({"39239abb98bc71b3", 4.0, 2.0},
+                                         no_chase),
+               std::invalid_argument);
 }
 
 TEST(LoadMachine, ResolvesPresetsAndRejectsGarbage) {
